@@ -248,8 +248,9 @@ class ClusterRouter:
                 process.kill()
             raise
         self._ring = HashRing(names, replicas=self.replicas)
+        proxy = _ProxyEngine(self)
         self.server = StreamServer(
-            _ProxyEngine(self),
+            proxy,
             host=self.host,
             port=self._requested_port,
             protocols=self.protocols,
@@ -260,10 +261,9 @@ class ClusterRouter:
             from repro.service.http import HttpFrontend
 
             self.http = HttpFrontend(
-                _ProxyEngine(self),
+                proxy,
                 host=self.host,
                 port=self._requested_http_port,
-                cluster=self,
                 executor_workers=self.executor_workers,
             )
             self.http.start_in_background()
@@ -733,7 +733,7 @@ class ClusterRouter:
 
 
 class _ProxyHandle:
-    """The stream-handle shape :class:`StreamServer` expects, proxied."""
+    """The stream-handle shape the operation layer expects, proxied."""
 
     __slots__ = ("_router", "stream_id", "_config")
 
@@ -747,18 +747,21 @@ class _ProxyHandle:
 
 
 class _ProxyEngine:
-    """Implements the engine surface of :class:`StreamServer` by
+    """The engine surface of :mod:`repro.service.ops`, implemented by
     forwarding every operation to the owning worker.
 
     Because the front server and the workers speak the same protocol,
     histogram payloads pass through byte-identically: what a client of
-    the router decodes is exactly what the owning worker served.
+    the router decodes is exactly what the owning worker served.  It has
+    no ``adopt``/``release`` (those are worker-side steps of a handoff),
+    so a router front answers them ``unknown-op``; it adds the cluster
+    operations, which only a router front serves.
     """
 
     def __init__(self, router: ClusterRouter) -> None:
         self._router = router
 
-    # -- stream access (server._stream_for) ----------------------------------
+    # -- stream access (ops.resolve_stream) ----------------------------------
 
     def streams(self) -> tuple:
         merged = set()
@@ -845,3 +848,21 @@ class _ProxyEngine:
         for response in router.fan_out({"op": "checkpoint"}).values():
             generations.update(response["generations"])
         return generations
+
+    # -- cluster operations -----------------------------------------------------
+
+    def cluster_view(self) -> dict:
+        return self._router.cluster_view()
+
+    def rebalance(self, max_moves: int = 1) -> list:
+        """One :class:`~repro.service.cluster.rebalance.Rebalancer` pass."""
+        from repro.service.cluster.rebalance import Rebalancer
+
+        moves = Rebalancer(self._router, max_moves=max_moves).rebalance_once()
+        return [move.to_dict() for move in moves]
+
+    def grow(self, count: int = 1) -> dict:
+        return self._router.grow(count)
+
+    def restart_worker(self, name: str) -> dict:
+        return self._router.restart_worker(name)

@@ -16,6 +16,8 @@ TCP clients can hit the same streams; otherwise the stream id is
                                                    application/octet-stream
                                                    raw LE float64 (zero-copy)
     POST /v1/streams/{tenant}/{stream}:checkpoint  snapshot one stream
+    POST /v1/streams/{tenant}/{stream}:adopt       recover from shared disk
+    POST /v1/streams/{tenant}/{stream}:release     drain, snapshot, drop
     GET  /v1/streams/{tenant}/{stream}/histogram   ?drain=1 for a barrier
     GET  /v1/streams/{tenant}/{stream}/stats       per-stream counters
     GET  /v1/streams                               registered stream ids
@@ -28,6 +30,12 @@ TCP clients can hit the same streams; otherwise the stream id is
     POST /v1/cluster/rebalance                     one rebalance pass
     POST /v1/cluster/grow                          add workers live
     POST /v1/cluster/restart                       re-spawn one worker
+
+Every route except ``meta`` names an op of :mod:`repro.service.ops`,
+the operation layer the TCP front shares; this module only decodes
+requests and encodes responses.  An op the engine does not implement
+(the cluster routes on a single-process server, ``adopt``/``release``
+on a cluster router) answers ``unknown-op``.
 
 Error responses are ``{"ok": false, "error": <code>, "message": ...}``
 with the unified taxonomy of :mod:`repro.service.errors`; the HTTP
@@ -54,19 +62,16 @@ import json
 import re
 import threading
 from collections import OrderedDict
-from math import isfinite
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, quote, unquote, urlencode
 
 import numpy as np
 
-from repro.service import wire
+from repro.service import ops, wire
 from repro.service.errors import (
     BadRequestError,
     ErrorCode,
-    InvalidRequestError,
     UnknownOperationError,
-    classify_exception,
     http_status,
     raise_for_error,
 )
@@ -84,19 +89,10 @@ MAX_HEADER_LINE = 64 * 1024
 #: Cap on a request body -- the same bound as a binary wire frame.
 MAX_BODY_BYTES = wire.MAX_PAYLOAD_BYTES
 
+#: Entries kept by the ``Idempotency-Key`` replay cache (LRU).
+IDEMPOTENCY_CAPACITY = 1024
+
 _SERVER_NAME = "repro-histogram"
-
-_STREAM_CONFIG_KEYS = ("method", "buckets", "epsilon", "universe", "window", "backend")
-
-#: Query-string config values arrive as strings; coerce per key.
-_CONFIG_COERCE = {
-    "method": str,
-    "buckets": int,
-    "epsilon": float,
-    "universe": int,
-    "window": int,
-    "backend": str,
-}
 
 _REASONS = {
     200: "OK",
@@ -113,35 +109,37 @@ _REASONS = {
 _SEG = r"[^/:]+"
 _STREAM_RE = rf"/v1/streams/(?P<tenant>{_SEG})/(?P<stream>{_SEG})"
 
-
-def _routes() -> list:
-    compiled = []
-    for method, pattern, name in (
-        ("GET", r"/v1/meta", "_r_meta"),
-        ("GET", r"/v1/ping", "_r_ping"),
-        ("GET", r"/v1/streams", "_r_streams"),
-        ("GET", r"/v1/stats", "_r_stats_all"),
-        ("POST", r"/v1/streams:checkpoint", "_r_checkpoint_all"),
-        ("POST", r"/v1/streams:drain", "_r_drain"),
-        ("POST", _STREAM_RE + r":append", "_r_append"),
-        ("POST", _STREAM_RE + r":checkpoint", "_r_checkpoint"),
-        ("GET", _STREAM_RE + r"/histogram", "_r_histogram"),
-        ("GET", _STREAM_RE + r"/stats", "_r_stats"),
-        ("GET", r"/v1/cluster", "_r_cluster"),
-        ("POST", r"/v1/cluster/rebalance", "_r_rebalance"),
-        ("POST", r"/v1/cluster/grow", "_r_grow"),
-        ("POST", r"/v1/cluster/restart", "_r_restart"),
-    ):
-        compiled.append((method, re.compile(f"^{pattern}$"), name))
-    return compiled
-
-
-ROUTES = _routes()
+#: ``(method, compiled path, op name)``: each route names an op of
+#: :mod:`repro.service.ops` (``meta``, the REST analogue of ``hello``, is
+#: answered by the facade itself).  A stream route's path supplies the
+#: ``stream`` argument; query parameters and the body supply the rest
+#: (see :func:`_arguments`).
+ROUTES = [
+    (method, re.compile(f"^{pattern}$"), op)
+    for method, pattern, op in (
+        ("GET", r"/v1/meta", "meta"),
+        ("GET", r"/v1/ping", "ping"),
+        ("GET", r"/v1/streams", "streams"),
+        ("GET", r"/v1/stats", "stats"),
+        ("POST", r"/v1/streams:checkpoint", "checkpoint"),
+        ("POST", r"/v1/streams:drain", "drain"),
+        ("POST", _STREAM_RE + r":append", "append"),
+        ("POST", _STREAM_RE + r":checkpoint", "checkpoint"),
+        ("POST", _STREAM_RE + r":adopt", "adopt"),
+        ("POST", _STREAM_RE + r":release", "release"),
+        ("GET", _STREAM_RE + r"/histogram", "query"),
+        ("GET", _STREAM_RE + r"/stats", "stats"),
+        ("GET", r"/v1/cluster", "cluster"),
+        ("POST", r"/v1/cluster/rebalance", "rebalance"),
+        ("POST", r"/v1/cluster/grow", "grow"),
+        ("POST", r"/v1/cluster/restart", "restart"),
+    )
+]
 
 
 def _error_body(message: str, code: ErrorCode = ErrorCode.BAD_REQUEST) -> dict:
     """The uniform JSON error document (``docs/REST.md``)."""
-    return {"ok": False, "error": str(code), "message": message}
+    return {"ok": False, **ops.error(code, message)}
 
 
 def _stream_id(match: "re.Match") -> str:
@@ -166,11 +164,72 @@ def stream_path(stream_id: str) -> str:
     return f"/v1/streams/-/{quote(stream_id, safe='')}"
 
 
+#: Ops whose REST body, when present, is a JSON object of arguments
+#: whatever its Content-Type; the other routes except ``append`` ignore
+#: the body.
+_OBJECT_BODY_OPS = frozenset({"rebalance", "grow", "restart"})
+
+
+def _json_document(body: bytes):
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
+
+
+def _append_body(headers: dict, body: bytes) -> dict:
+    """An append body's arguments: a JSON array as ``values``, a JSON
+    object's fields, or an ``application/octet-stream`` body as raw
+    little-endian float64 ``values`` (the binary append frame's
+    zero-copy decode)."""
+    content_type = headers.get("content-type", "application/json")
+    content_type = content_type.split(";")[0].strip().lower()
+    if content_type == "application/octet-stream":
+        try:
+            return {"values": wire.decode_values(body)}
+        except wire.WireError as exc:
+            raise BadRequestError(str(exc)) from exc
+    if content_type not in ("application/json", "text/json", ""):
+        raise BadRequestError(
+            f"unsupported Content-Type {content_type!r}; send "
+            "application/json or application/octet-stream"
+        )
+    if not body:
+        return {}
+    document = _json_document(body)
+    if isinstance(document, list):
+        return {"values": document}
+    if isinstance(document, dict):
+        return document
+    raise BadRequestError("append body must be a JSON array of values or an object")
+
+
+def _arguments(
+    op: str, match: "re.Match", query_string: str, headers: dict, body: bytes
+) -> dict:
+    """Decode one REST request into the op's argument dict.
+
+    Query parameters come first, then the body (:func:`_append_body` for
+    ``append``, a JSON object for the :data:`_OBJECT_BODY_OPS`).  A
+    stream route's path names the stream.
+    """
+    request = {key: values[-1] for key, values in parse_qs(query_string).items()}
+    if op == "append":
+        request.update(_append_body(headers, body))
+    elif op in _OBJECT_BODY_OPS and body:
+        document = _json_document(body)
+        if not isinstance(document, dict):
+            raise BadRequestError("request body must be a JSON object")
+        request.update(document)
+    if "stream" in match.re.groupindex:
+        request["stream"] = _stream_id(match)
+    return request
+
+
 class _IdempotencyCache:
     """Bounded LRU of ``(stream, Idempotency-Key) -> response payload``."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: OrderedDict = OrderedDict()
 
@@ -187,30 +246,100 @@ class _IdempotencyCache:
         with self._lock:
             self._data.pop(key, None)
             self._data[key] = value
-            while len(self._data) > self.capacity:
+            while len(self._data) > IDEMPOTENCY_CAPACITY:
                 self._data.popitem(last=False)
 
 
-class HttpFrontend:
+class _Reject(Exception):
+    """A request the connection cannot continue past: answer, then close."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _readline(reader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except (asyncio.LimitOverrunError, ValueError):
+        raise _Reject(400, f"{what} too long") from None
+
+
+async def _read_request(reader) -> Optional[tuple]:
+    """``(method, target, version, headers, body)``, or ``None`` on EOF."""
+    line = b"\r\n"
+    while line in (b"\r\n", b"\n"):
+        line = await _readline(reader, "request line")
+        if not line:
+            return None
+    parts = line.split()
+    if len(parts) != 3:
+        raise _Reject(400, "malformed request line")
+    method, target, version = (part.decode("latin-1") for part in parts)
+    headers: dict = {}
+    while True:
+        line = await _readline(reader, "header line")
+        if line in (b"\r\n", b"\n"):
+            break
+        if not line:
+            return None  # EOF mid-headers
+        name, sep, value = line.decode("latin-1").partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding"):
+        raise _Reject(
+            400, "chunked request bodies are not supported; send Content-Length"
+        )
+    raw_length = headers.get("content-length")
+    if raw_length is None:
+        return method, target, version, headers, b""
+    try:
+        length = int(raw_length)
+        if length < 0:
+            raise ValueError
+    except ValueError:
+        raise _Reject(400, "bad Content-Length") from None
+    if length > MAX_BODY_BYTES:
+        raise _Reject(
+            413,
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte cap",
+        )
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError:
+        return None
+    return method, target, version, headers, body
+
+
+async def _answer(
+    writer,
+    status: int,
+    payload: dict,
+    keep_alive: bool,
+    extra: Tuple[Tuple[str, str], ...] = (),
+) -> None:
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    lines.extend(f"{name}: {value}" for name, value in extra)
+    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+    await writer.drain()
+
+
+class HttpFrontend(ops.Front):
     """Serve one engine (or cluster proxy) over HTTP/1.1 REST.
 
-    Parameters
-    ----------
-    engine:
-        The :class:`~repro.service.StreamEngine` (or the cluster
-        router's proxy engine) to expose; the frontend never closes it.
-    host / port:
-        Bind address; ``port=0`` picks a free port (read it back from
-        :attr:`port` after :meth:`start`).
-    cluster:
-        The owning :class:`~repro.service.cluster.ClusterRouter`, when
-        this frontend fronts a cluster; enables the ``/v1/cluster``
-        routes (a single-process server answers them ``unknown-op``).
-    executor_workers:
-        Size of a dedicated thread pool for engine calls (``None`` uses
-        the loop's default executor) -- same contract as
-        :class:`~repro.service.StreamServer`.
+    ``engine``, ``host``, ``port`` and ``executor_workers`` are those of
+    :class:`~repro.service.ops.Front`.  The routes an engine cannot serve
+    (``/v1/cluster*`` on a single-process engine) answer ``unknown-op``.
     """
+
+    read_limit = MAX_HEADER_LINE
 
     def __init__(
         self,
@@ -218,248 +347,51 @@ class HttpFrontend:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        cluster=None,
         executor_workers: Optional[int] = None,
-        idempotency_capacity: int = 1024,
     ) -> None:
-        self.engine = engine
-        self.host = host
-        self.port = port
-        self.cluster = cluster
-        self.executor_workers = executor_workers
-        self._idempotency = _IdempotencyCache(idempotency_capacity)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-
-    # -- lifecycle (mirrors StreamServer) -------------------------------------
-
-    async def start(self) -> None:
-        """Bind and start accepting connections (on the running loop)."""
-        self._loop = asyncio.get_running_loop()
-        if self.executor_workers is not None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._loop.set_default_executor(
-                ThreadPoolExecutor(
-                    max_workers=self.executor_workers,
-                    thread_name_prefix="repro-http-io",
-                )
-            )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_HEADER_LINE,
+        super().__init__(
+            engine, host=host, port=port, executor_workers=executor_workers
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started.set()
+        self._idempotency = _IdempotencyCache()
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until :meth:`stop` or cancellation."""
-        if self._server is None:
-            await self.start()
-        try:
-            async with self._server:
-                await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    def run(self) -> None:
-        """Blocking entry point (the CLI ``serve --http-port``)."""
-        try:
-            asyncio.run(self.serve_forever())
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
-            pass
-
-    def start_in_background(self) -> "HttpFrontend":
-        """Run the frontend on a daemon thread; returns once it is bound."""
-        self._thread = threading.Thread(
-            target=self.run, name="repro-http-frontend", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("HTTP frontend failed to start within 10s")
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting connections and unwind the background thread."""
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None:
-            loop.call_soon_threadsafe(server.close)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
+    async def _serve(self, reader, writer) -> None:
         """One client: HTTP/1.1 request/response with keep-alive."""
-        try:
-            while True:
-                try:
-                    request_line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._answer(
-                        writer, 400, _error_body("request line too long"), False
-                    )
-                    return
-                if not request_line:
-                    return
-                if request_line in (b"\r\n", b"\n"):
-                    continue
-                parts = request_line.split()
-                if len(parts) != 3:
-                    await self._answer(
-                        writer, 400, _error_body("malformed request line"), False
-                    )
-                    return
-                method = parts[0].decode("latin-1")
-                target = parts[1].decode("latin-1")
-                version = parts[2].decode("latin-1")
-                try:
-                    headers = await self._read_headers(reader)
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._answer(
-                        writer, 400, _error_body("header line too long"), False
-                    )
-                    return
-                if headers is None:
-                    return  # EOF mid-headers
-                if headers.get("transfer-encoding"):
-                    await self._answer(
-                        writer,
-                        400,
-                        _error_body(
-                            "chunked request bodies are not supported; "
-                            "send Content-Length"
-                        ),
-                        False,
-                    )
-                    return
-                body = b""
-                raw_length = headers.get("content-length")
-                if raw_length is not None:
-                    try:
-                        length = int(raw_length)
-                        if length < 0:
-                            raise ValueError
-                    except ValueError:
-                        await self._answer(
-                            writer, 400, _error_body("bad Content-Length"), False
-                        )
-                        return
-                    if length > MAX_BODY_BYTES:
-                        await self._answer(
-                            writer,
-                            413,
-                            _error_body(
-                                f"request body of {length} bytes exceeds "
-                                f"the {MAX_BODY_BYTES}-byte cap"
-                            ),
-                            False,
-                        )
-                        return
-                    try:
-                        body = await reader.readexactly(length)
-                    except asyncio.IncompleteReadError:
-                        return
-                status, payload, extra = await self._respond(
-                    method, target, headers, body
-                )
-                keep_alive = (
-                    version == "HTTP/1.1"
-                    and headers.get("connection", "").lower() != "close"
-                )
-                await self._answer(writer, status, payload, keep_alive, extra)
-                if not keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):
-                pass
-
-    @staticmethod
-    async def _read_headers(reader) -> Optional[dict]:
-        """Lower-cased header dict, or ``None`` on EOF mid-headers."""
-        headers: dict = {}
         while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                return headers
-            if not line:
-                return None
-            name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-
-    async def _answer(
-        self,
-        writer,
-        status: int,
-        payload: dict,
-        keep_alive: bool,
-        extra: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        lines.extend(f"{name}: {value}" for name, value in extra)
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
-
-    # -- routing ----------------------------------------------------------------
+            try:
+                request = await _read_request(reader)
+            except _Reject as exc:
+                await _answer(writer, exc.status, _error_body(str(exc)), False)
+                return
+            if request is None:
+                return
+            method, target, version, headers, body = request
+            status, payload, extra = await self._respond(
+                method, target, headers, body
+            )
+            keep_alive = (
+                version == "HTTP/1.1"
+                and headers.get("connection", "").lower() != "close"
+            )
+            await _answer(writer, status, payload, keep_alive, extra)
+            if not keep_alive:
+                return
 
     async def _respond(
         self, method: str, target: str, headers: dict, body: bytes
     ) -> tuple:
         """Route one request; returns ``(status, payload, extra_headers)``."""
         raw_path, _, query_string = target.partition("?")
-        try:
-            query = parse_qs(query_string)
-        except ValueError:  # pragma: no cover - parse_qs is permissive
-            query = {}
         allowed = set()
-        for route_method, pattern, handler_name in ROUTES:
+        for route_method, pattern, op in ROUTES:
             match = pattern.match(raw_path)
             if match is None:
                 continue
             if route_method != method:
                 allowed.add(route_method)
                 continue
-            handler = getattr(self, handler_name)
-            loop = asyncio.get_running_loop()
-            try:
-                payload, extra = await loop.run_in_executor(
-                    None, handler, match, query, headers, body
-                )
-            except Exception as exc:  # noqa: BLE001 - classified below
-                code, message = classify_exception(exc)
-                status = http_status(code)
-                extra = (
-                    (("Retry-After", "1"),)
-                    if code == ErrorCode.BACKPRESSURE
-                    else ()
-                )
-                return (
-                    status,
-                    {"ok": False, "error": str(code), "message": message},
-                    extra,
-                )
-            return 200, {"ok": True, **payload}, tuple(extra)
+            if op == "meta":
+                return 200, {"ok": True, **self._meta()}, ()
+            return await self._call(op, match, query_string, headers, body)
         if allowed:
             return (
                 405,
@@ -471,133 +403,36 @@ class HttpFrontend:
             )
         return (
             404,
-            {
-                "ok": False,
-                "error": str(ErrorCode.UNKNOWN_OP),
-                "message": f"no route {method} {raw_path}",
-            },
+            _error_body(f"no route {method} {raw_path}", ErrorCode.UNKNOWN_OP),
             (),
         )
 
-    # -- handlers (run on executor threads) --------------------------------------
+    async def _call(self, op, match, query_string, headers, body) -> tuple:
+        """Decode the arguments, run the op, encode status and body.
 
-    def _stream_for(self, stream_id: str, config: dict):
-        """Create-or-fetch a stream, mirroring the TCP server's rule."""
-        if not config and stream_id in self.engine.streams():
-            return self.engine.handle(stream_id)
-        return self.engine.stream(stream_id, **config)
-
-    @staticmethod
-    def _config_from_query(query: dict) -> dict:
-        config = {}
-        for key in _STREAM_CONFIG_KEYS:
-            if key in query:
-                raw = query[key][-1]
-                try:
-                    config[key] = _CONFIG_COERCE[key](raw)
-                except ValueError:
-                    raise InvalidRequestError(
-                        f"query parameter {key}={raw!r} is not a valid "
-                        f"{_CONFIG_COERCE[key].__name__}"
-                    ) from None
-        return config
-
-    def _r_append(self, match, query, headers, body):
-        stream_id = _stream_id(match)
-        config = self._config_from_query(query)
-        content_type = headers.get("content-type", "application/json")
-        content_type = content_type.split(";")[0].strip().lower()
-        if content_type == "application/octet-stream":
-            # The zero-copy path: the body *is* the value region of a
-            # binary append frame (raw LE float64), decoded by the same
-            # wire helper -- numpy.frombuffer, no copy, no boxing.
-            try:
-                values = wire.decode_values(body)
-            except wire.WireError as exc:
-                raise BadRequestError(str(exc)) from exc
-        elif content_type in ("application/json", "text/json", ""):
-            values, config = self._parse_json_append(body, config)
-        else:
-            raise BadRequestError(
-                f"unsupported Content-Type {content_type!r}; send "
-                "application/json or application/octet-stream"
-            )
-        idempotency_key = headers.get("idempotency-key")
-        if idempotency_key:
-            cached = self._idempotency.get((stream_id, idempotency_key))
-            if cached is not None:
-                return cached, (("Idempotency-Replayed", "true"),)
-        handle = self._stream_for(stream_id, config)
-        accepted = handle.append(values)
-        payload = {"stream": handle.stream_id, "accepted": accepted}
-        if idempotency_key:
-            self._idempotency.put((stream_id, idempotency_key), payload)
-        return payload, ()
-
-    @staticmethod
-    def _parse_json_append(body: bytes, config: dict):
+        An append carrying an ``Idempotency-Key`` replays the response
+        recorded for the same ``(stream, key)`` instead of applying the
+        batch again; failed appends are not recorded.
+        """
+        key = headers.get("idempotency-key") if op == "append" else None
         try:
-            document = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise BadRequestError(
-                f"append body is not valid JSON: {exc}"
-            ) from exc
-        if isinstance(document, list):
-            values = document
-        elif isinstance(document, dict):
-            values = document.get("values", [])
-            for key in _STREAM_CONFIG_KEYS:
-                if document.get(key) is not None:
-                    config = {**config, key: document[key]}
+            request = _arguments(op, match, query_string, headers, body)
+        except BadRequestError as exc:
+            ok, payload = False, ops.error(ErrorCode.BAD_REQUEST, exc.message)
         else:
-            raise BadRequestError(
-                "append body must be a JSON array of values or an object "
-                'with a "values" array'
-            )
-        if isinstance(values, (int, float)) and not isinstance(values, bool):
-            values = [values]
-        if not isinstance(values, list):
-            raise BadRequestError('"values" must be a JSON array or a number')
-        for value in values:
-            if isinstance(value, float) and not isfinite(value):
-                raise BadRequestError(
-                    "append payload contains non-finite (NaN/inf) values"
-                )
-        return values, config
+            cached = self._idempotency.get((request["stream"], key)) if key else None
+            if cached is not None:
+                return 200, {"ok": True, **cached}, (("Idempotency-Replayed", "true"),)
+            ok, payload = await ops.run(self.engine, op, request)
+            if ok and key:
+                self._idempotency.put((request["stream"], key), payload)
+        if ok:
+            return 200, {"ok": True, **payload}, ()
+        code = payload["error"]
+        extra = (("Retry-After", "1"),) if code == ErrorCode.BACKPRESSURE else ()
+        return http_status(code), {"ok": False, **payload}, extra
 
-    def _r_histogram(self, match, query, headers, body):
-        stream_id = _stream_id(match)
-        if query.get("drain", ["0"])[-1].lower() in ("1", "true", "yes"):
-            self.engine.drain()
-        hist = self.engine.histogram(stream_id)
-        return {"stream": stream_id, "histogram": hist.to_dict()}, ()
-
-    def _r_stats(self, match, query, headers, body):
-        stream_id = _stream_id(match)
-        return {"stats": self.engine.stats(stream_id)}, ()
-
-    def _r_stats_all(self, match, query, headers, body):
-        return {"stats": self.engine.stats(None)}, ()
-
-    def _r_checkpoint(self, match, query, headers, body):
-        stream_id = _stream_id(match)
-        generations = self.engine.checkpoint(stream_id)
-        return {"generations": generations}, ()
-
-    def _r_checkpoint_all(self, match, query, headers, body):
-        return {"generations": self.engine.checkpoint(None)}, ()
-
-    def _r_streams(self, match, query, headers, body):
-        return {"streams": list(self.engine.streams())}, ()
-
-    def _r_drain(self, match, query, headers, body):
-        self.engine.drain()
-        return {"drained": True}, ()
-
-    def _r_ping(self, match, query, headers, body):
-        return {"pong": True}, ()
-
-    def _r_meta(self, match, query, headers, body):
+    def _meta(self) -> dict:
         from repro import api
 
         return {
@@ -605,74 +440,13 @@ class HttpFrontend:
                 "name": _SERVER_NAME,
                 "wire_version": wire.WIRE_VERSION,
                 "protocols": [PROTO_HTTP],
-                "cluster": self.cluster is not None,
+                "cluster": ops.supports(self.engine, "cluster"),
             },
             "methods": api.methods(),
             "endpoints": sorted(
-                f"{method} {pattern.pattern[1:-1]}"
-                for method, pattern, _ in ROUTES
+                f"{method} {pattern.pattern[1:-1]}" for method, pattern, _ in ROUTES
             ),
-        }, ()
-
-    # -- cluster handlers --------------------------------------------------------
-
-    def _require_cluster(self):
-        if self.cluster is None:
-            raise UnknownOperationError(
-                "this server is not a cluster front; /v1/cluster routes "
-                "are unavailable"
-            )
-        return self.cluster
-
-    @staticmethod
-    def _json_body(body: bytes) -> dict:
-        if not body:
-            return {}
-        try:
-            document = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise BadRequestError(
-                f"request body is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(document, dict):
-            raise BadRequestError("request body must be a JSON object")
-        return document
-
-    def _r_cluster(self, match, query, headers, body):
-        return {"cluster": self._require_cluster().cluster_view()}, ()
-
-    def _r_rebalance(self, match, query, headers, body):
-        from repro.service.cluster.rebalance import Rebalancer
-
-        cluster = self._require_cluster()
-        document = self._json_body(body)
-        try:
-            max_moves = int(document.get("max_moves", 1))
-        except (TypeError, ValueError):
-            raise BadRequestError('"max_moves" must be an integer') from None
-        moves = Rebalancer(cluster, max_moves=max_moves).rebalance_once()
-        return {
-            "moves": [move.to_dict() for move in moves],
-        }, ()
-
-    def _r_grow(self, match, query, headers, body):
-        cluster = self._require_cluster()
-        document = self._json_body(body)
-        try:
-            count = int(document.get("count", 1))
-        except (TypeError, ValueError):
-            raise BadRequestError('"count" must be an integer') from None
-        return cluster.grow(count), ()
-
-    def _r_restart(self, match, query, headers, body):
-        cluster = self._require_cluster()
-        document = self._json_body(body)
-        worker = document.get("worker")
-        if not worker:
-            raise BadRequestError(
-                'restart body must name the worker: {"worker": "w0"}'
-            )
-        return cluster.restart_worker(str(worker)), ()
+        }
 
 
 # -- client transport ----------------------------------------------------------
@@ -743,7 +517,7 @@ class HttpTransport:
         if op == "append":
             rest = {
                 key: request[key]
-                for key in _STREAM_CONFIG_KEYS
+                for key in ops.STREAM_CONFIG
                 if request.get(key) is not None
             }
             return self.append(

@@ -22,19 +22,22 @@ the ingest hot path the JSON format cannot reach.  JSON remains the
 default and the fallback; a connection that never says hello is served
 exactly as before.
 
-Operations: ``hello``, ``append`` (creates the stream on first use from
-the request's config), ``query``, ``stats``, ``checkpoint``,
-``streams``, ``ping``.  Errors come back as ``{"ok": false, "error":
-<code>, "message": ...}`` with the codes of the unified taxonomy
-(:mod:`repro.service.errors`, shared with the HTTP facade):
-``backpressure`` (queue bound hit -- back off and retry), ``invalid``
-(bad parameters), ``unknown-stream`` (the stream id is not registered),
-``empty`` (query before any data), ``bad-request`` (malformed JSON,
-malformed binary frame, missing fields, non-finite values),
-``unknown-op``, ``unavailable`` (cluster worker failed mid-request),
-and ``internal``.  In binary mode a *framing* error
-(bad magic, bad version, oversized length) additionally closes the
-connection: a desynchronized byte stream cannot be re-synchronized.
+Operations: ``hello`` (negotiation, answered here) and every op of the
+shared table in :mod:`repro.service.ops` that the engine serves --
+``append`` (creates the stream on first use from the request's config),
+``query``, ``stats``, ``checkpoint``, ``streams``, ``drain``, ``ping``,
+and on matching engines ``adopt``/``release`` or the cluster ops.
+Errors come back as ``{"ok": false, "error": <code>, "message": ...}``
+with the codes of the unified taxonomy (:mod:`repro.service.errors`,
+shared with the HTTP facade): ``backpressure`` (queue bound hit -- back
+off and retry), ``invalid`` (bad parameters), ``unknown-stream`` (the
+stream id is not registered), ``empty`` (query before any data),
+``bad-request`` (malformed JSON, malformed binary frame, missing
+values, non-finite or boolean values), ``unknown-op``, ``unavailable``
+(cluster worker failed mid-request), and ``internal``.  In binary mode
+a *framing* error (bad magic, bad version, oversized length)
+additionally closes the connection: a desynchronized byte stream cannot
+be re-synchronized.
 
 The event loop never blocks on the engine: every engine call runs in a
 thread-pool executor, so slow batch applies on one connection do not
@@ -47,27 +50,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
-from math import isfinite
 from typing import Optional, Sequence
 
-from repro.exceptions import InvalidParameterError, ReproError
-from repro.service import wire
-from repro.service.engine import StreamEngine
-from repro.service.errors import classify_exception
+from repro.exceptions import InvalidParameterError
+from repro.service import ops, wire
+from repro.service.errors import ErrorCode
 
 #: Refuse request lines longer than this many bytes (a malformed or
 #: hostile client should not buffer unbounded memory server-side).
 MAX_LINE_BYTES = 64 * 1024 * 1024
-
-_STREAM_CONFIG_KEYS = (
-    "method",
-    "buckets",
-    "epsilon",
-    "universe",
-    "window",
-    "backend",
-)
 
 _SERVER_NAME = "repro-histogram"
 
@@ -78,217 +69,129 @@ _SERVER_NAME = "repro-histogram"
 _MAGIC_BYTE = bytes([wire.MAGIC >> 8])
 
 
-class StreamServer:
+def _bad(message: str) -> dict:
+    return ops.error(ErrorCode.BAD_REQUEST, message)
+
+
+class StreamServer(ops.Front):
     """Serve one engine over TCP: JSON lines, with negotiated binary.
+
+    ``engine``, ``host``, ``port`` and ``executor_workers`` are those of
+    :class:`~repro.service.ops.Front`.
 
     Parameters
     ----------
-    engine:
-        The :class:`StreamEngine` to expose; the server never closes it
-        (the caller owns its lifecycle).
-    host / port:
-        Bind address; ``port=0`` picks a free port (read it back from
-        :attr:`port` after :meth:`start`).
     protocols:
         Protocol numbers this server advertises in ``hello`` responses.
         The default offers both JSON lines (1) and binary frames (2);
         pass ``(1,)`` to pin every connection to JSON (the CLI's
         ``--no-binary``).
-    executor_workers:
-        Size of a dedicated thread pool for engine calls.  ``None`` (the
-        default) uses the loop's default executor -- right for a
-        single-process engine, whose per-stream locks serialize most
-        work anyway.  The cluster router sets this higher: its "engine"
-        calls are blocking round trips to backend workers, so the pool
-        size caps the router's concurrent in-flight backend requests.
     """
+
+    read_limit = MAX_LINE_BYTES
 
     def __init__(
         self,
-        engine: StreamEngine,
+        engine,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
         protocols: Sequence[int] = wire.ALL_PROTOCOLS,
         executor_workers: Optional[int] = None,
     ) -> None:
-        self.engine = engine
-        self.host = host
-        self.port = port
-        self.executor_workers = executor_workers
+        super().__init__(
+            engine, host=host, port=port, executor_workers=executor_workers
+        )
         self.protocols = tuple(int(p) for p in protocols)
         if wire.PROTO_JSON not in self.protocols:
             raise InvalidParameterError(
                 "the server must always speak protocol 1 (JSON lines); "
                 f"got protocols={self.protocols}"
             )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    async def start(self) -> None:
-        """Bind and start accepting connections (on the running loop)."""
-        self._loop = asyncio.get_running_loop()
-        if self.executor_workers is not None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # asyncio.run() shuts the default executor down with the
-            # loop, so the pool's lifetime tracks the server's.
-            self._loop.set_default_executor(
-                ThreadPoolExecutor(
-                    max_workers=self.executor_workers,
-                    thread_name_prefix="repro-server-io",
-                )
-            )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_LINE_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started.set()
-
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until :meth:`stop` or cancellation."""
-        if self._server is None:
-            await self.start()
-        try:
-            async with self._server:
-                await self._server.serve_forever()
-        except asyncio.CancelledError:
-            # stop() closes the server from another thread, which lands
-            # here as a cancellation of the serving future -- a clean exit.
-            pass
-
-    def run(self) -> None:
-        """Blocking entry point (the CLI ``serve`` subcommand)."""
-        try:
-            asyncio.run(self.serve_forever())
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
-            pass
-
-    def start_in_background(self) -> "StreamServer":
-        """Run the server on a daemon thread; returns once it is bound.
-
-        The test/smoke entry point: callers talk to it with
-        :class:`~repro.service.client.ServiceClient` and call
-        :meth:`stop` when done.
-        """
-        self._thread = threading.Thread(
-            target=self.run, name="repro-stream-server", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("server failed to start within 10s")
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting connections and unwind the background thread."""
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None:
-            loop.call_soon_threadsafe(server.close)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
 
     # -- connection handling (protocol state machine) ------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
+    async def _serve(self, reader, writer) -> None:
         """One client: JSON lines until ``hello`` negotiates binary."""
-        try:
-            while True:
-                first = await reader.read(1)
-                if not first:
-                    break
-                if first in b"\r\n":
-                    continue
-                if first == _MAGIC_BYTE:
-                    # A binary frame before negotiation: refuse loudly
-                    # rather than feeding frame bytes to the JSON parser
-                    # (or blocking on a newline the frame will never send).
-                    writer.write(
-                        _json_error(
-                            "bad-request",
+        while True:
+            first = await reader.read(1)
+            if not first:
+                return
+            if first in b"\r\n":
+                continue
+            if first == _MAGIC_BYTE:
+                # A binary frame before negotiation: refuse loudly rather
+                # than feeding frame bytes to the JSON parser (or blocking
+                # on a newline the frame will never send).
+                writer.write(
+                    _encode_json(
+                        False,
+                        _bad(
                             "binary frame before negotiation; send "
-                            '{"op": "hello", "proto": [1, 2]} first',
-                        )
+                            '{"op": "hello", "proto": [1, 2]} first'
+                        ),
                     )
-                    await writer.drain()
-                    break
-                try:
-                    line = first + await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(_json_error("bad-request", "request too long"))
-                    await writer.drain()
-                    break
-                if not line.strip():
-                    continue
-                request = _parse_json_line(line)
+                )
+                await writer.drain()
+                return
+            try:
+                line = first + await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                writer.write(_encode_json(False, _bad("request too long")))
+                await writer.drain()
+                return
+            if not line.strip():
+                continue
+            try:
+                request = json.loads(line)
+            except ValueError:
+                ok, payload = False, _bad("request is not valid JSON")
+            else:
                 if isinstance(request, dict) and request.get("op") == "hello":
                     ok, payload, proto = self._negotiate(request)
-                    writer.write(
-                        _encode_json(ok, payload)
-                    )
+                    writer.write(_encode_json(ok, payload))
                     await writer.drain()
                     if ok and proto == wire.PROTO_BINARY:
                         await self._serve_binary(reader, writer)
-                        break
+                        return
                     continue
                 ok, payload = await self._dispatch(request)
-                writer.write(_encode_json(ok, payload))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):
-                # CancelledError: the loop is tearing down (stop());
-                # finishing normally here keeps teardown quiet.
-                pass
+            writer.write(_encode_json(ok, payload))
+            await writer.drain()
 
     async def _serve_binary(self, reader, writer) -> None:
         """Protocol 2: length-prefixed frames until EOF or framing error."""
         while True:
             try:
-                header = await reader.readexactly(wire.HEADER_BYTES)
-            except asyncio.IncompleteReadError:
-                return  # clean EOF (possibly mid-header on abrupt close)
-            try:
-                opcode, length = wire.decode_header(header)
+                opcode, length = wire.decode_header(
+                    await reader.readexactly(wire.HEADER_BYTES)
+                )
                 payload = await reader.readexactly(length)
             except wire.WireError as exc:
                 # Framing errors desynchronize the stream: answer and close.
-                writer.write(_frame_error("bad-request", str(exc)))
+                writer.write(_encode_frame(False, _bad(str(exc))))
                 await writer.drain()
                 return
             except asyncio.IncompleteReadError:
-                return
+                return  # clean EOF (possibly mid-frame on abrupt close)
             ok, response = await self._dispatch_frame(opcode, payload)
             writer.write(_encode_frame(ok, response))
             await writer.drain()
 
     async def _dispatch_frame(self, opcode: int, payload) -> tuple[bool, dict]:
         if opcode == wire.OP_APPEND:
+            # The zero-copy path: the frame's read-only float64 view goes
+            # to the same append op as a JSON list.
             try:
                 meta, values = wire.decode_append_payload(payload)
             except wire.WireError as exc:
-                return False, {"error": "bad-request", "message": str(exc)}
-            return await self._run_handler(self._append_array, meta, values)
+                return False, _bad(str(exc))
+            return await ops.run(self.engine, "append", {**meta, "values": values})
         if opcode == wire.OP_JSON:
             try:
                 request = wire.decode_json_payload(payload)
             except wire.WireError as exc:
-                return False, {"error": "bad-request", "message": str(exc)}
+                return False, _bad(str(exc))
             if request.get("op") == "hello":
                 # Re-negotiation inside binary mode is a no-op: report
                 # the live protocol without switching anything.
@@ -297,10 +200,12 @@ class StreamServer:
                 )
                 return ok, response
             return await self._dispatch(request)
-        return False, {
-            "error": "bad-request",
-            "message": f"unexpected opcode 0x{opcode:02x} in a request",
-        }
+        return False, _bad(f"unexpected opcode 0x{opcode:02x} in a request")
+
+    async def _dispatch(self, request) -> tuple[bool, dict]:
+        if not isinstance(request, dict) or "op" not in request:
+            return False, _bad('request must be {"op": ..., ...}')
+        return await ops.run(self.engine, request["op"], request)
 
     # -- negotiation ---------------------------------------------------------
 
@@ -312,23 +217,17 @@ class StreamServer:
         if not isinstance(offered, (list, tuple)):
             return (
                 False,
-                {
-                    "error": "bad-request",
-                    "message": '"proto" must be a JSON array of protocol '
-                    "numbers",
-                },
+                _bad('"proto" must be a JSON array of protocol numbers'),
                 None,
             )
         chosen = wire.negotiate(offered, self.protocols)
         if chosen is None:
             return (
                 False,
-                {
-                    "error": "bad-request",
-                    "message": f"no common protocol: client offered "
-                    f"{list(offered)}, server speaks "
-                    f"{list(self.protocols)}",
-                },
+                _bad(
+                    f"no common protocol: client offered {list(offered)}, "
+                    f"server speaks {list(self.protocols)}"
+                ),
                 None,
             )
         if active is not None:
@@ -343,174 +242,18 @@ class StreamServer:
         }
         return True, payload, chosen
 
-    # -- request dispatch ----------------------------------------------------
-
-    async def _dispatch(self, request) -> tuple[bool, dict]:
-        """Route one decoded request; returns ``(ok, payload)``."""
-        if isinstance(request, _BadRequest):
-            return False, {"error": "bad-request", "message": request.message}
-        if not isinstance(request, dict) or "op" not in request:
-            return False, {
-                "error": "bad-request",
-                "message": 'request must be {"op": ..., ...}',
-            }
-        op = request["op"]
-        handler = getattr(self, f"_op_{str(op).replace('-', '_')}", None)
-        if handler is None:
-            return False, {
-                "error": "unknown-op",
-                "message": f"unknown op {op!r}",
-            }
-        return await self._run_handler(handler, request)
-
-    async def _run_handler(self, handler, *args) -> tuple[bool, dict]:
-        """Run an engine-touching handler on the executor; map errors.
-
-        The exception -> code mapping is
-        :func:`repro.service.errors.classify_exception` -- the single
-        taxonomy shared with the HTTP facade, so every transport
-        classifies the same failure identically (a proxied backend's
-        :class:`~repro.service.errors.ServiceError` forwards its code
-        instead of being flattened to ``internal``).
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(None, handler, *args)
-        except (ReproError, KeyError, TypeError) as exc:
-            code, message = classify_exception(exc)
-            return False, {"error": str(code), "message": message}
-        return True, payload
-
-    # -- operations (run on executor threads) -------------------------------
-
-    def _stream_for(self, request: dict):
-        """Create-or-fetch the request's stream from its inline config.
-
-        Requests that carry no config address the stream as it already
-        exists (whatever its method); config keys are only consulted at
-        creation or to verify a match.
-        """
-        stream_id = str(request["stream"])
-        config = {
-            key: request[key]
-            for key in _STREAM_CONFIG_KEYS
-            if request.get(key) is not None
-        }
-        if not config and stream_id in self.engine.streams():
-            return self.engine.handle(stream_id)
-        return self.engine.stream(stream_id, **config)
-
-    def _op_append(self, request: dict) -> dict:
-        values = request["values"]
-        if isinstance(values, (int, float)):
-            values = [values]
-        if not isinstance(values, (list, tuple)):
-            raise InvalidParameterError(
-                "values must be a JSON array or a single number"
-            )
-        for v in values:
-            if isinstance(v, float) and not isfinite(v):
-                raise InvalidParameterError(
-                    "append payload contains non-finite (NaN/inf) values"
-                )
-        handle = self._stream_for(request)
-        accepted = handle.append(values)
-        return {"accepted": accepted, "stream": handle.stream_id}
-
-    def _append_array(self, meta: dict, values) -> dict:
-        """Zero-copy append: the binary frame's ndarray goes straight in.
-
-        ``values`` is the read-only float64 view the wire layer built
-        over the frame payload; it reaches the summaries' vectorized
-        ``extend()`` without any per-item conversion.
-        """
-        handle = self._stream_for(meta)
-        accepted = handle.append(values)
-        return {"accepted": accepted, "stream": handle.stream_id}
-
-    def _op_query(self, request: dict) -> dict:
-        stream_id = str(request["stream"])
-        if bool(request.get("drain")):
-            self.engine.drain()
-        hist = self.engine.histogram(stream_id)
-        return {"stream": stream_id, "histogram": hist.to_dict()}
-
-    def _op_stats(self, request: dict) -> dict:
-        stream = request.get("stream")
-        stats = self.engine.stats(None if stream is None else str(stream))
-        return {"stats": stats}
-
-    def _op_checkpoint(self, request: dict) -> dict:
-        stream = request.get("stream")
-        generations = self.engine.checkpoint(
-            None if stream is None else str(stream)
-        )
-        return {"generations": generations}
-
-    def _op_streams(self, request: dict) -> dict:
-        return {"streams": list(self.engine.streams())}
-
-    def _op_drain(self, request: dict) -> dict:
-        """Barrier: every accepted batch applied before the response."""
-        self.engine.drain()
-        return {"drained": True}
-
-    def _op_adopt(self, request: dict) -> dict:
-        """Cluster-internal: recover a manifested stream from shared disk."""
-        handle = self.engine.adopt(str(request["stream"]))
-        return {
-            "stream": handle.stream_id,
-            "items_seen": handle.items_seen,
-        }
-
-    def _op_release(self, request: dict) -> dict:
-        """Cluster-internal: drain + snapshot + drop a stream (handoff)."""
-        generation = self.engine.release(
-            str(request["stream"]),
-            checkpoint=bool(request.get("checkpoint", True)),
-        )
-        return {"stream": str(request["stream"]), "generation": generation}
-
-    def _op_ping(self, request: dict) -> dict:
-        return {"pong": True}
-
-
-class _BadRequest:
-    """Sentinel for an unparseable request line (carries the message)."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str) -> None:
-        self.message = message
-
-
-def _parse_json_line(line: bytes):
-    try:
-        return json.loads(line)
-    except ValueError:
-        return _BadRequest("request is not valid JSON")
-
 
 # -- response encoders -------------------------------------------------------
 
 
 def _encode_json(ok: bool, payload: dict) -> bytes:
-    body = {"ok": True, **payload} if ok else {"ok": False, **payload}
+    body = {"ok": ok, **payload}
     return (json.dumps(body, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def _json_error(code: str, message: str) -> bytes:
-    return _encode_json(False, {"error": code, "message": message})
-
-
 def _encode_frame(ok: bool, payload: dict) -> bytes:
-    if ok:
-        return wire.encode_json_frame(wire.OP_OK, {"ok": True, **payload})
-    return wire.encode_json_frame(wire.OP_ERR, {"ok": False, **payload})
-
-
-def _frame_error(code: str, message: str) -> bytes:
-    return _encode_frame(False, {"error": code, "message": message})
+    opcode = wire.OP_OK if ok else wire.OP_ERR
+    return wire.encode_json_frame(opcode, {"ok": ok, **payload})
 
 
 # Backwards-compatible re-exports: the client classes lived here before

@@ -88,6 +88,9 @@ _META_LEN = struct.Struct("!I")
 #: Value payload dtype: IEEE-754 binary64, little endian, as documented.
 VALUE_DTYPE = np.dtype("<f8")
 
+#: The one message every transport answers a NaN/inf append with.
+NON_FINITE = "append payload contains non-finite (NaN/inf) values"
+
 
 class WireError(ValueError):
     """A malformed, truncated, or protocol-violating binary frame.
@@ -202,7 +205,7 @@ def decode_values(buffer: Union[bytes, bytearray, memoryview]) -> np.ndarray:
         )
     values = np.frombuffer(view, dtype=VALUE_DTYPE)
     if values.size and not bool(np.isfinite(values).all()):
-        raise WireError("append payload contains non-finite (NaN/inf) values")
+        raise WireError(NON_FINITE)
     return values
 
 

@@ -44,7 +44,7 @@ def stack():
     """One engine fronted by both a TCP server and the REST facade."""
     engine = StreamEngine()
     server = StreamServer(engine).start_in_background()
-    front = HttpFrontend(engine, cluster=None).start_in_background()
+    front = HttpFrontend(engine).start_in_background()
     try:
         yield engine, server, front
     finally:
@@ -269,6 +269,82 @@ class TestErrorMapping:
             gate.set()
             front.stop()
             engine.close()
+
+
+class _ClusterStub:
+    """The two cluster methods the grow/restart routes call, recorded."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def grow(self, count: int = 1) -> dict:
+        self.calls.append(("grow", count))
+        return {"workers": [], "moved": []}
+
+    def restart_worker(self, name: str) -> dict:
+        self.calls.append(("restart", name))
+        return {"worker": name}
+
+
+@pytest.fixture()
+def cluster_front():
+    stub = _ClusterStub()
+    front = HttpFrontend(stub).start_in_background()
+    try:
+        yield stub, front
+    finally:
+        front.stop()
+
+
+class TestClusterRouteBodies:
+    def test_object_body_is_read_whatever_the_content_type(self, cluster_front):
+        # curl -d sends application/x-www-form-urlencoded by default.
+        stub, front = cluster_front
+        status, _h, body = _raw(
+            front,
+            "POST",
+            "/v1/cluster/restart",
+            body=json.dumps({"worker": "w0"}),
+            headers={"Content-Type": "application/x-www-form-urlencoded"},
+        )
+        assert status == 200 and body["worker"] == "w0"
+        assert stub.calls == [("restart", "w0")]
+
+    def test_array_body_is_400_not_an_ignored_argument(self, cluster_front):
+        stub, front = cluster_front
+        status, _h, body = _raw(
+            front, "POST", "/v1/cluster/grow", body=json.dumps([3])
+        )
+        assert status == 400 and body["error"] == "bad-request"
+        assert stub.calls == []
+
+    def test_grow_count_is_capped(self, cluster_front):
+        from repro.service.ops import MAX_GROW
+
+        stub, front = cluster_front
+        status, _h, body = _raw(
+            front,
+            "POST",
+            "/v1/cluster/grow",
+            body=json.dumps({"count": MAX_GROW + 1}),
+        )
+        assert status == 400 and body["error"] == "invalid"
+        status, _h, body = _raw(
+            front, "POST", "/v1/cluster/grow", body=json.dumps({"count": 2})
+        )
+        assert status == 200
+        assert stub.calls == [("grow", 2)]
+
+    def test_routes_without_arguments_ignore_the_body(self, stack):
+        _engine, _server, front = stack
+        status, _h, body = _raw(
+            front,
+            "POST",
+            "/v1/streams:drain",
+            body=b"not json",
+            headers={"Content-Type": "text/plain"},
+        )
+        assert status == 200 and body["drained"] is True
 
 
 class TestIdempotencyKey:
