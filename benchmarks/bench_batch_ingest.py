@@ -42,10 +42,18 @@ SMOKE_ITEMS = 60_000
 
 #: Algorithms under the throughput gate.  The acceptance targets (>= 5x at
 #: paper scale) apply to the two serial workhorses; the rest are reported
-#: for visibility but not gated (their scalar baselines are already slow
-#: enough that CI smoke runs would dominate the job).
+#: for visibility but not gated.  The PWL rows still run the batch-vs-scalar
+#: equivalence guard: their ``extend()`` is the scalar loop (the PWL
+#: GREEDY-INSERT summaries) or a tail-absorption fast path (PWL MIN-MERGE
+#: with exact hulls), and either must leave the state ``insert()`` does.
 GATED = ["min-merge", "min-increment"]
-REPORTED = GATED + ["min-increment-batched", "sliding-window"]
+REPORTED = GATED + [
+    "min-increment-batched",
+    "sliding-window",
+    "pwl-min-increment",
+    "pwl-min-merge",
+    "sliding-window-pwl",
+]
 
 
 def _make(name: str, items: int):

@@ -201,6 +201,7 @@ def _shift_pwl_bucket(bucket: PwlBucket, offset: int) -> PwlBucket:
     shifted.beg = bucket.beg + offset
     shifted.end = bucket.end + offset
     shifted.hull = _shift_hull(bucket.hull, offset)
+    shifted._clear_fit()
     shifted._cached_error = bucket._cached_error
     return shifted
 

@@ -19,11 +19,13 @@ The exactness arguments, per family:
 * MIN-MERGE -- at steady state the arriving singleton is absorbed into the
   tail exactly when its pair key is the strict heap minimum; the kernel
   checks that per-step condition against the static minimum of the
-  untouched keys plus the evolving (prev, tail) key.
-* PWL -- a PWL bucket's line-fit error is at most half its hull's vertical
-  extent, so the serial half-range boundary is a certificate that
-  ``try_add`` would succeed; certified points are bulk-added to the hull
-  with the same mutation sequence the scalar path performs.
+  untouched keys plus the evolving (prev, tail) key.  PWL MIN-MERGE with
+  exact hulls reuses :func:`absorbable_prefix` the same way, since half a
+  PWL bucket's vertical extent bounds its line-fit error.
+
+The PWL GREEDY-INSERT summaries have no kernel here: their scalar loop,
+with the slope-strip certificate of :mod:`repro.core.pwl_bucket`, is
+faster than batching hull points through NumPy.
 
 Inputs that cannot be coerced to a 1-D numeric array (object dtypes,
 NaNs, generators) fall back to the scalar loop; rough streams where the
@@ -235,95 +237,3 @@ def greedy_chunk(
             i = j + 1
     return open_, i
 
-
-def pwl_greedy_chunk(
-    arr: np.ndarray,
-    base: int,
-    open_,
-    closed_append,
-    target: float,
-    hull_epsilon: Optional[float],
-    *,
-    stop_after: Optional[int] = None,
-    bucket_count: int = 0,
-) -> tuple:
-    """PWL analogue of :func:`greedy_chunk` (vectorized hull-point batching).
-
-    The kernel certifies a run of points via the half-range bound -- a PWL
-    bucket's fit error is at most half its hull's vertical extent, so while
-    the running extent stays within ``2 * target`` every ``try_add`` is
-    guaranteed to succeed and the points are bulk-added to the hull (same
-    mutation sequence as the scalar path, including ``maybe_compress``
-    timing for size-capped hulls).  Boundary points where the certificate
-    fails go through the real ``try_add``, which may still succeed on
-    slope-following data; persistent certificate misses degrade to a
-    scalar ``try_add`` block.
-    """
-    from repro.core.pwl_bucket import ClosedPwlBucket, PwlBucket
-
-    n = len(arr)
-    i = 0
-    short = 0
-    block = _DEGRADE_BLOCK
-    ylo = yhi = None
-    while i < n:
-        if stop_after is not None and bucket_count > stop_after:
-            break
-        if open_ is None:
-            open_ = PwlBucket(base + i, arr[i].item(), hull_epsilon=hull_epsilon)
-            bucket_count += 1
-            ylo = yhi = arr[i].item()
-            i += 1
-            continue
-        if ylo is None:
-            ylo, yhi = open_.hull.y_extent()
-        if short >= _DEGRADE_AFTER:
-            # Same sticky scalar-block fallback as greedy_chunk.
-            short = 0
-            stop = min(n, i + block)
-            if block < MAX_WINDOW:
-                block *= 8
-            broke = False
-            for v in arr[i:stop].tolist():
-                if not open_.try_add(v, target):
-                    closed_append(ClosedPwlBucket.from_bucket(open_))
-                    open_ = PwlBucket(base + i, v, hull_epsilon=hull_epsilon)
-                    bucket_count += 1
-                    ylo = yhi = v
-                    i += 1
-                    if stop_after is not None and bucket_count > stop_after:
-                        broke = True
-                        break
-                else:
-                    ylo = v if v < ylo else ylo
-                    yhi = v if v > yhi else yhi
-                    i += 1
-            if broke:
-                break
-            continue
-        j, ylo, yhi = absorbable_prefix(arr, arr, i, ylo, yhi, target)
-        run = j - i
-        if run <= 2:
-            for t in range(i, j):
-                open_.add(arr[t].item())
-        else:
-            for v in arr[i:j].tolist():
-                open_.add(v)
-        i = j
-        if run < 4:
-            short += 1
-        else:
-            short = 0
-            block = _DEGRADE_BLOCK
-        if j < n:
-            v = arr[j].item()
-            if open_.try_add(v, target):
-                ylo = v if v < ylo else ylo
-                yhi = v if v > yhi else yhi
-            else:
-                closed_append(ClosedPwlBucket.from_bucket(open_))
-                open_ = PwlBucket(base + j, v, hull_epsilon=hull_epsilon)
-                bucket_count += 1
-                ylo = yhi = v
-            i = j + 1
-    return open_, i

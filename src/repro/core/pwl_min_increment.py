@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.batch import MAX_WINDOW, as_batch_array, pwl_greedy_chunk
 from repro.core.error_ladder import ErrorLadder
 from repro.core.histogram import Histogram
 from repro.core.interface import DEFAULT_HULL_EPSILON
@@ -57,42 +56,36 @@ class PwlGreedyInsertSummary:
         self.open: Optional[PwlBucket] = None
         self._next_index = start_index
 
-    def insert(self, value) -> None:
-        """GREEDY-INSERT one value against the PWL bucket error."""
-        if self.open is None:
-            self.open = PwlBucket(
-                self._next_index, value, hull_epsilon=self.hull_epsilon
-            )
-        elif not self.open.try_add(value, self.target_error):
-            self.closed.append(ClosedPwlBucket.from_bucket(self.open))
-            self.open = PwlBucket(
-                self._next_index, value, hull_epsilon=self.hull_epsilon
-            )
-        self._next_index += 1
+    def insert(self, value, fresh: Optional[PwlBucket] = None) -> Optional[PwlBucket]:
+        """GREEDY-INSERT one value; returns the bucket it opened, else None.
+
+        :class:`PwlMinIncrementHistogram` lets its levels share open
+        buckets while their contents agree, visiting them in increasing
+        target order: ``fresh`` is a bucket a lower level just opened with
+        this value at this index, adopted instead of a copy, and an open
+        bucket whose ``end`` already is this index was extended by a
+        lower-target level sharing it -- its error fits that target, so it
+        fits this one too.
+        """
+        index = self._next_index
+        self._next_index = index + 1
+        open_ = self.open
+        if open_ is not None:
+            if open_.end == index or open_.try_add(value, self.target_error):
+                return None
+            self.closed.append(ClosedPwlBucket.from_bucket(open_))
+        if fresh is None or fresh.beg != index:
+            fresh = PwlBucket(index, value, hull_epsilon=self.hull_epsilon)
+        self.open = fresh
+        return fresh
 
     def extend(self, values: Iterable) -> None:
-        """Insert every value of an iterable, in order.
-
-        Lists and numeric ndarrays route through the vectorized
-        hull-point batching kernel; the hull mutations are identical to
-        the scalar loop.
-        """
-        arr = as_batch_array(values)
-        if arr is None:
-            for value in values:
-                self.insert(value)
-            return
-        for off in range(0, len(arr), MAX_WINDOW):
-            chunk = arr[off : off + MAX_WINDOW]
-            self.open, _ = pwl_greedy_chunk(
-                chunk,
-                self._next_index,
-                self.open,
-                self.closed.append,
-                self.target_error,
-                self.hull_epsilon,
-            )
-            self._next_index += len(chunk)
+        """Insert every value of an iterable, in order."""
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        insert = self.insert
+        for value in values:
+            insert(value)
 
     @property
     def bucket_count(self) -> int:
@@ -201,95 +194,80 @@ class PwlMinIncrementHistogram:
 
     def insert(self, value) -> None:
         """Process the next stream value."""
-        if not 0 <= value < self.universe:
-            raise DomainError(
-                f"value {value!r} outside universe [0, {self.universe})"
-            )
-        observe = self._metrics is not None
-        start = perf_counter() if observe else 0.0
-        best = self._summaries[0]
-        best_buckets = best.bucket_count if observe else 0
-        self._n += 1
-        limit = self.target_buckets
-        survivors = []
-        dead = 0
-        for summary in self._summaries:
-            summary.insert(value)
-            if summary.bucket_count <= limit or summary is self._summaries[-1]:
-                survivors.append(summary)
-            else:
-                dead += 1
-        self._summaries = survivors
-        if observe:
-            if dead:
-                self._metrics.on_promotion(dead)
-            if survivors[0] is best and best.bucket_count == best_buckets:
-                self._metrics.on_merge()
-            self._metrics.on_insert(latency=perf_counter() - start)
+        if self._metrics is None:
+            self._ingest(value)
+            return
+        self._ingest_observed((value,))
 
     def extend(self, values: Iterable) -> None:
         """Insert every value of an iterable, in order.
 
-        Lists and numeric ndarrays route every surviving ladder level
-        through the vectorized hull-batching kernel (dead levels stop
-        early); the final state matches the scalar loop exactly.  With
+        The same per-item loop as :meth:`insert`: the slope-strip
+        certificate (:mod:`repro.core.pwl_bucket`) makes most ladder
+        levels' trials O(1), and levels with identical open buckets share
+        one, so no separate batch kernel is needed.  With
         instrumentation on, the batch emits one ``on_insert`` event with
-        the item count.
+        the item count (for the prefix ingested before a bad value, when
+        one raises).
         """
-        arr = as_batch_array(values)
-        if arr is None:
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if self._metrics is None:
+            ingest = self._ingest
             for value in values:
-                self.insert(value)
+                ingest(value)
             return
-        n = len(arr)
-        if n == 0:
-            return
-        bad = (arr < 0) | (arr >= self.universe)
-        if bad.any():
-            offender = int(np.argmax(bad))
-            if offender:
-                self.extend(values[:offender])
-            v = arr[offender].item()
+        self._ingest_observed(values)
+
+    def _ingest(self, value) -> int:
+        """Feed one value to every live level; returns the levels killed."""
+        if not 0 <= value < self.universe:
             raise DomainError(
-                f"value {v!r} outside universe [0, {self.universe})"
+                f"value {value!r} outside universe [0, {self.universe})"
             )
-        observe = self._metrics is not None
-        start = perf_counter() if observe else 0.0
-        best = self._summaries[0]
-        best_buckets = best.bucket_count if observe else 0
-        dead = 0
+        self._n += 1
         limit = self.target_buckets
-        for off in range(0, n, MAX_WINDOW):
-            chunk = arr[off : off + MAX_WINDOW]
-            last = self._summaries[-1]
-            survivors = []
-            for summary in self._summaries:
-                is_last = summary is last
-                summary.open, consumed = pwl_greedy_chunk(
-                    chunk,
-                    summary._next_index,
-                    summary.open,
-                    summary.closed.append,
-                    summary.target_error,
-                    summary.hull_epsilon,
-                    stop_after=None if is_last else limit,
-                    bucket_count=summary.bucket_count,
-                )
-                summary._next_index += consumed
-                if summary.bucket_count <= limit or is_last:
-                    survivors.append(summary)
-                else:
+        summaries = self._summaries
+        last = summaries[-1]
+        dead = 0
+        fresh = None
+        # Levels run in increasing target order, so the levels that open a
+        # bucket at this item share one, and a shared bucket absorbs each
+        # point once (PwlGreedyInsertSummary.insert).  Every live level but
+        # the last holds at most ``limit`` buckets, so only a level that
+        # just opened a bucket can have died.
+        for summary in summaries:
+            opened = summary.insert(value, fresh)
+            if opened is not None:
+                fresh = opened
+                if summary is not last and summary.bucket_count > limit:
                     dead += 1
-            self._summaries = survivors
-            self._n += len(chunk)
-        if observe:
-            if dead:
-                self._metrics.on_promotion(dead)
-            if self._summaries[0] is best:
-                absorbed = n - (best.bucket_count - best_buckets)
-                if absorbed > 0:
-                    self._metrics.on_merge(absorbed)
-            self._metrics.on_insert(n, latency=perf_counter() - start)
+        if dead:
+            self._summaries = [
+                s for s in summaries if s.bucket_count <= limit or s is last
+            ]
+        return dead
+
+    def _ingest_observed(self, values) -> None:
+        """Instrumented ingest of a batch: one event set for all of it."""
+        start = perf_counter()
+        best = self._summaries[0]
+        best_buckets = best.bucket_count
+        n = dead = 0
+        try:
+            for value in values:
+                dead += self._ingest(value)
+                n += 1
+        finally:
+            if n:
+                m = self._metrics
+                if dead:
+                    m.on_promotion(dead)
+                if self._summaries[0] is best:
+                    absorbed = n - (best.bucket_count - best_buckets)
+                    if absorbed > 0:
+                        m.on_merge(absorbed)
+                m.on_insert(n, latency=perf_counter() - start)
 
     # -- queries --------------------------------------------------------------------
 

@@ -18,6 +18,8 @@ from math import inf
 from time import perf_counter
 from typing import Iterable, Optional
 
+import numpy as np
+
 from repro.core.batch import MAX_WINDOW, absorbable_prefix, as_batch_array
 from repro.core.histogram import Histogram
 from repro.core.interface import DEFAULT_HULL_EPSILON
@@ -157,11 +159,14 @@ class PwlMinMergeHistogram:
         with the same per-item hull unions the scalar path performs but
         without its pair-key recomputations and heap churn.  Size-capped
         hulls fall back to the scalar loop -- compression can shrink keys,
-        which voids the monotonicity certificate.  With instrumentation
-        on, a batch emits one ``on_insert`` event carrying the item count.
+        which voids the monotonicity certificate (an ndarray is unboxed
+        once with ``tolist()`` first).  With instrumentation on, a batch
+        emits one ``on_insert`` event carrying the item count.
         """
         arr = as_batch_array(values) if self.hull_epsilon is None else None
         if arr is None:
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
             for value in values:
                 self.insert(value)
             return
@@ -406,11 +411,13 @@ class PwlMinMergeHistogram:
     def _merge_min_pair(self) -> None:
         # Same entry-recycling merge as MinMergeHistogram._merge_min_pair.
         heap = self._heap
-        _key, left = heap.pop_min()
+        # The popped key is the union's error, fitted on the very hull
+        # merged_with builds, so it seeds the merged bucket's error.
+        key, left = heap.pop_min()
         left.pair_handle = None
         right = left.next
         right_handle = right.pair_handle
-        left.bucket = left.bucket.merged_with(right.bucket)
+        left.bucket = left.bucket.merged_with(right.bucket, key[0])
         self._list.remove(right)
         if left.prev is not None:
             self._update_pair_key(left.prev)

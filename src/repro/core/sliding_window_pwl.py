@@ -24,7 +24,6 @@ from typing import Deque, Iterable, Optional
 
 import numpy as np
 
-from repro.core.batch import MAX_WINDOW, as_batch_array, pwl_greedy_chunk
 from repro.core.error_ladder import ErrorLadder
 from repro.core.histogram import Histogram, Segment
 from repro.core.interface import DEFAULT_HULL_EPSILON
@@ -155,6 +154,29 @@ class SlidingWindowPwlMinIncrement:
 
     def insert(self, value) -> None:
         """Process the next stream value."""
+        if self._metrics is None:
+            self._ingest(value)
+            return
+        self._ingest_observed((value,))
+
+    def extend(self, values: Iterable) -> None:
+        """Insert every value of an iterable, in order.
+
+        The same per-item loop as :meth:`insert` (see
+        :meth:`PwlMinIncrementHistogram.extend`); with instrumentation on,
+        the batch emits one ``on_insert`` event with the item count.
+        """
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if self._metrics is None:
+            ingest = self._ingest
+            for value in values:
+                ingest(value)
+            return
+        self._ingest_observed(values)
+
+    def _ingest(self, value) -> int:
+        """Feed one value to every level; returns the buckets evicted."""
         if not 0 <= value < self.universe:
             raise DomainError(
                 f"value {value!r} outside universe [0, {self.universe})"
@@ -163,72 +185,26 @@ class SlidingWindowPwlMinIncrement:
         self._n += 1
         window_start = self.window_start
         max_buckets = self.target_buckets + 1
-        m = self._metrics
-        if m is None:
-            for summary in self._summaries:
-                summary.insert(index, value)
-                summary.expire(window_start)
-                summary.trim_to(max_buckets)
-            return
-        start = perf_counter()
         evicted = 0
         for summary in self._summaries:
             summary.insert(index, value)
             evicted += summary.expire(window_start)
             evicted += summary.trim_to(max_buckets)
-        if evicted:
-            m.on_evict(evicted)
-        m.on_insert(latency=perf_counter() - start)
+        return evicted
 
-    def extend(self, values: Iterable) -> None:
-        """Insert every value of an iterable, in order.
-
-        Same vectorized schedule as
-        :meth:`SlidingWindowMinIncrement.extend`: per-level hull batching
-        over each chunk, then one expiry/trim pass at the chunk's final
-        window start -- exactly the per-item surviving suffix.
-        """
-        arr = as_batch_array(values)
-        if arr is None:
+    def _ingest_observed(self, values) -> None:
+        """Instrumented ingest of a batch: one event set for all of it."""
+        start = perf_counter()
+        n = evicted = 0
+        try:
             for value in values:
-                self.insert(value)
-            return
-        n = len(arr)
-        if n == 0:
-            return
-        bad = (arr < 0) | (arr >= self.universe)
-        if bad.any():
-            offender = int(np.argmax(bad))
-            if offender:
-                self.extend(values[:offender])
-            v = arr[offender].item()
-            raise DomainError(
-                f"value {v!r} outside universe [0, {self.universe})"
-            )
-        observe = self._metrics is not None
-        start = perf_counter() if observe else 0.0
-        max_buckets = self.target_buckets + 1
-        evicted = 0
-        for off in range(0, n, MAX_WINDOW):
-            chunk = arr[off : off + MAX_WINDOW]
-            base = self._n
-            self._n += len(chunk)
-            window_start = self.window_start
-            for summary in self._summaries:
-                summary.open, _ = pwl_greedy_chunk(
-                    chunk,
-                    base,
-                    summary.open,
-                    summary.closed.append,
-                    summary.target_error,
-                    summary.hull_epsilon,
-                )
-                evicted += summary.expire(window_start)
-                evicted += summary.trim_to(max_buckets)
-        if observe:
-            if evicted:
-                self._metrics.on_evict(evicted)
-            self._metrics.on_insert(n, latency=perf_counter() - start)
+                evicted += self._ingest(value)
+                n += 1
+        finally:
+            if n:
+                if evicted:
+                    self._metrics.on_evict(evicted)
+                self._metrics.on_insert(n, latency=perf_counter() - start)
 
     # -- queries -------------------------------------------------------------
 

@@ -696,9 +696,9 @@ class SoaPwlMinMerge:
         beg = self.beg
         pkey = self.pkey
         bkt = self.bkt
-        _err, _b, s = pop_min_valid(heap, nxt, beg, pkey)
+        err, _b, s = pop_min_valid(heap, nxt, beg, pkey)
         r = nxt[s]
-        merged = bkt[s].merged_with(bkt[r])
+        merged = bkt[s].merged_with(bkt[r], err)
         bkt[s] = merged
         rn = nxt[r]
         nxt[s] = rn

@@ -131,7 +131,7 @@ class StreamingHull:
 
         The vertical extremes are hull vertices (they are extreme in the
         -y / +y directions), so the chain minima are exact.  Used by the
-        batch-ingest kernels to bound a PWL bucket's fit error by half its
+        PWL MIN-MERGE batch path to bound a bucket's fit error by half its
         vertical range.
         """
         if not self.lower:
@@ -144,8 +144,8 @@ class StreamingHull:
     def add(self, x, y) -> None:
         """Insert a point with x strictly greater than all previous points.
 
-        This is the PWL ingest hot spot (one call per certified point in
-        the batch kernels), so the turn test inlines :func:`cross` --
+        This is the PWL ingest hot spot (one call per point a bucket
+        absorbs or trials), so the turn test inlines :func:`cross` --
         identical operations in identical order, no tuple construction or
         call overhead -- and the undo buffers are allocated lazily: the
         steady-state add pops nothing and allocates nothing.
@@ -248,24 +248,23 @@ def _plain(value):
 def _rebuild_chain(
     left: list[Point], right: list[Point], *, upper: bool
 ) -> list[Point]:
-    """Monotone-chain pass over two concatenated convex chains."""
-    chain: list[Point] = []
-    if upper:
-        for p in left:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) >= 0:
-                chain.pop()
-            chain.append(p)
-        for p in right:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) >= 0:
-                chain.pop()
-            chain.append(p)
-    else:
-        for p in left:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        for p in right:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
+    """Monotone-chain pass over two concatenated convex chains.
+
+    ``left`` is already a finished chain: every consecutive triple in it
+    passed this very turn test when it was built (by :meth:`StreamingHull.add`
+    or an earlier union), so a pass over it would pop nothing.  It is
+    copied as is, and only ``right``'s points run the pass -- with
+    :func:`cross` written out inline, same operations in the same order.
+    """
+    chain = list(left)
+    for p in right:
+        x, y = p
+        while len(chain) >= 2:
+            ox, oy = chain[-2]
+            ax, ay = chain[-1]
+            turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+            if not ((turn >= 0) if upper else (turn <= 0)):
+                break
+            chain.pop()
+        chain.append(p)
     return chain

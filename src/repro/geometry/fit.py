@@ -81,29 +81,50 @@ def _min_vertical_gap(
     along the upper chain and the minimizer walks right along the lower
     chain, each pointer advancing past a vertex exactly when ``s`` passes
     the slope of the incident edge.
+
+    This is the PWL refit hot spot, so the residual ``y - s * x`` is
+    written out inline and each pointer's current residual is carried
+    across the walk instead of re-evaluated.  Every float operation is
+    the same, in the same order, as the plain formulation; only repeated
+    evaluations of an identical expression are shared, so the result is
+    bit-identical.
     """
     if len(upper) == 1:
         p = upper[0]
         return 0.0, 0.0, p, p
     # Candidate slopes: every edge of either chain.
     slopes = sorted(
-        {_slope(chain[i], chain[i + 1]) for chain in (upper, lower)
-         for i in range(len(chain) - 1)}
+        {(b[1] - a[1]) / (b[0] - a[0]) for chain in (upper, lower)
+         for a, b in zip(chain, chain[1:])}
     )
     ui = len(upper) - 1  # argmax pointer, walks left
     li = 0  # argmin pointer, walks right
+    last = len(lower) - 1
     best_gap = None
-    best = None
     for s in slopes:
-        while ui > 0 and _value(upper[ui - 1], s) >= _value(upper[ui], s):
+        x, y = upper[ui]
+        top = y - s * x
+        while ui > 0:
+            x, y = upper[ui - 1]
+            value = y - s * x
+            if not value >= top:
+                break
+            top = value
             ui -= 1
-        while li + 1 < len(lower) and _value(lower[li + 1], s) <= _value(lower[li], s):
+        x, y = lower[li]
+        bottom = y - s * x
+        while li < last:
+            x, y = lower[li + 1]
+            value = y - s * x
+            if not value <= bottom:
+                break
+            bottom = value
             li += 1
-        gap = _value(upper[ui], s) - _value(lower[li], s)
+        gap = top - bottom
         if best_gap is None or gap < best_gap:
             best_gap = gap
-            best = (s, gap, upper[ui], lower[li])
-    return best
+            best_slope, best_ui, best_li = s, ui, li
+    return best_slope, best_gap, upper[best_ui], lower[best_li]
 
 
 def vertical_width_naive(points: Sequence[Point]) -> float:
@@ -128,10 +149,3 @@ def vertical_width_naive(points: Sequence[Point]) -> float:
             best = gap
     return best
 
-
-def _slope(a: Point, b: Point) -> float:
-    return (b[1] - a[1]) / (b[0] - a[0])
-
-
-def _value(p: Point, s: float) -> float:
-    return p[1] - s * p[0]

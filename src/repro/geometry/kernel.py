@@ -181,13 +181,18 @@ class ApproximateHull:
         hull._inner = StreamingHull.from_state(state["inner"])
         return hull
 
+    @property
+    def over_threshold(self) -> bool:
+        """Whether the next :meth:`maybe_compress` will run a pass."""
+        return self._inner.stored_entries > self._threshold
+
     def maybe_compress(self) -> bool:
         """Compress to the directional kernel if over threshold.
 
         Returns True when a compression pass ran.  Invalidates any pending
         ``undo_last_add``.
         """
-        if self._inner.stored_entries <= self._threshold:
+        if not self.over_threshold:
             return False
         kept = directional_kernel(self._inner.vertices(), self._directions)
         count = self._inner.point_count
