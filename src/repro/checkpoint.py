@@ -218,6 +218,7 @@ def _restore_greedy(data: dict) -> GreedyInsertSummary:
 
 
 def _min_increment_state(summary: MinIncrementHistogram) -> dict:
+    summary._settle()
     return {
         "kind": "min-increment",
         "buckets": summary.target_buckets,

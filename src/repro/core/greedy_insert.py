@@ -197,10 +197,13 @@ class GreedyInsertSummary:
         """The current piecewise-constant approximation."""
         if self.bucket_count == 0:
             raise EmptySummaryError("no values inserted yet")
-        segments = [
-            Segment(b.beg, b.end, b.representative, b.representative)
-            for b in self.buckets_snapshot()
-        ]
+        buckets = self._closed
+        if self._open is not None:
+            buckets = buckets + [self._open]
+        segments = []
+        for b in buckets:
+            mid = b.representative
+            segments.append(Segment(b.beg, b.end, mid, mid))
         return Histogram(segments, self.error)
 
     def memory_bytes(self) -> int:

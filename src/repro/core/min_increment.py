@@ -9,6 +9,19 @@ is the answer: it uses at most ``B`` buckets and, by inequality 2, its error
 is within ``(1 + eps)`` of optimal -- a (1 + eps, 1)-approximation in
 ``O(eps^-1 B log U)`` space (Theorem 2).
 
+Written as in Algorithm 2, every value touches every level.  This
+implementation gives the unbuffered ladder a *pending run* -- the count,
+min and max of the values every surviving level is known to absorb but has
+not yet been written -- and a *certificate*: three bounds, re-armed each
+time the levels are brought up to date, within which the next value
+provably fits every level's open bucket.  A certified value is only
+counted; a value outside the certificate makes some level close a bucket,
+and each non-top level closes at most ``B`` before it dies, so the
+per-level step runs at most ``B (L - 1)`` times over a summary's lifetime
+and ``insert()`` is amortized O(1) without a buffer.  Every read writes
+the pending run out first; the result is exactly Algorithm 2's, bucket for
+bucket (see ``docs/ALGORITHMS.md`` for the soundness argument).
+
 The batched variant of Section 2.2.2 is available via ``batch_size``: values
 are buffered and each summary first tries to swallow the whole buffer into
 its open bucket in O(1) (possible whenever the buffer's min/max fit), which
@@ -17,12 +30,15 @@ amortizes the per-item cost to O(1).
 
 from __future__ import annotations
 
+import math
+import struct
 from time import perf_counter
 from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.core.batch import (
+    _START_WINDOW,
     MAX_WINDOW,
     absorbable_prefix,
     as_batch_array,
@@ -39,6 +55,76 @@ from repro.exceptions import (
 )
 from repro.memory.model import DEFAULT_MODEL, MemoryModel
 from repro.observability.hooks import SummaryMetrics, resolve_metrics
+
+_INF = math.inf
+
+#: Value types whose half-range test is plain float64 arithmetic, so the
+#: certificate's float thresholds decide it exactly.  ``bool``, NumPy
+#: scalars and ``Fraction`` are not among them: they take the exact
+#: per-level step.
+_EXACT_TYPES = (int, float)
+
+#: Largest universe whose values all convert to float64 exactly.
+_EXACT_UNIVERSE = 1 << 53
+
+#: Batches shorter than this skip the pruning pass: its fixed NumPy cost
+#: is then larger than the per-level steps it could save.
+_PRUNE_MIN = 4096
+
+#: A failing window this short is scanned value by value, not halved.
+_SCAN = 256
+
+#: Smallest block whose half-range is tested by the pruning pass.
+_PRUNE_BLOCK = 8
+
+#: The sign bit of a float64's bit pattern.
+_SIGN = 1 << 63
+
+
+def _order(x: float) -> int:
+    """Position of ``x`` in float order: adjacent floats, adjacent ints."""
+    k = struct.unpack("<q", struct.pack("<d", x))[0]
+    return k if k >= 0 else -(k & (_SIGN - 1))
+
+
+def _unorder(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | _SIGN))[0]
+
+
+def _cap(lo, e: float, slack: float, top: float) -> float:
+    """Largest float ``u`` with ``(u - lo) / 2.0 <= e``.
+
+    The caller guarantees that ``top`` fails the test and that
+    ``lo + 2.0 * e`` lies within ``slack`` of the answer.  The test is
+    monotone in ``u``: a few ``nextafter`` steps settle it when the
+    subtraction is exact, and a bisection over float order does otherwise
+    (a cap near 0 can lie ~2**60 of its own ulps from the estimate).  The
+    lower cap on ``hi`` is ``-_cap(-hi, e, slack, 0.0)``: IEEE subtraction
+    is symmetric under negation, so that is the same test.
+    """
+    u = lo + 2.0 * e
+    for _ in range(4):
+        if u >= top or (u - lo) / 2.0 > e:
+            u = math.nextafter(u, -_INF)
+            continue
+        up = math.nextafter(u, _INF)
+        if up >= top or (up - lo) / 2.0 > e:
+            return u
+        u = up
+    good = u - slack
+    if not (lo <= good < top and (good - lo) / 2.0 <= e):
+        good = float(lo)
+    bad = u + slack
+    if not (bad < top and (bad - lo) / 2.0 > e):
+        bad = top
+    good, bad = _order(good), _order(bad)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if (_unorder(mid) - lo) / 2.0 <= e:
+            good = mid
+        else:
+            bad = mid
+    return _unorder(good)
 
 
 class MinIncrementHistogram:
@@ -109,51 +195,72 @@ class MinIncrementHistogram:
             )
         self._batch_size: Optional[int] = batch_size
         self._buffer: list = []
+        # The certificate is armed only where its float thresholds decide
+        # the half-range test exactly (see _arm).
+        self._exact = batch_size is None and universe <= _EXACT_UNIVERSE
+        self._run = 0
+        self._disarm()
         self._metrics = resolve_metrics(metrics)
         if self._metrics is not None:
             self._metrics.bind_gauges(self)
-            # Route ingestion through the instrumented twin.  Binding on
-            # the instance keeps the uninstrumented insert() below exactly
-            # the seed implementation -- zero overhead when disabled.
             self.insert = self._insert_observed
 
     # -- ingestion -------------------------------------------------------------
 
     def insert(self, value) -> None:
-        """Process the next stream value (Algorithm 2)."""
-        self._check_domain(value)
+        """Process the next stream value (Algorithm 2).
+
+        A value inside the certificate is only counted into the pending
+        run; any other value takes the exact per-level step (or, with
+        ``batch_size``, goes to the buffer).
+        """
+        if not 0 <= value < self.universe:
+            raise DomainError(
+                f"value {value!r} outside universe [0, {self.universe})"
+            )
         self._n += 1
-        if self._batch_size is None:
-            self._insert_unbuffered(value)
-            return
-        self._buffer.append(value)
-        if len(self._buffer) >= self._batch_size:
-            self._flush_buffer()
+        if value > self._hi:
+            if (
+                value > self._cap_hi
+                or (value - self._lo) / 2.0 > self._span
+                or type(value) not in _EXACT_TYPES
+            ):
+                self._step(value)
+                return
+            self._hi = value
+        elif value < self._lo:
+            if (
+                value < self._cap_lo
+                or (self._hi - value) / 2.0 > self._span
+                or type(value) not in _EXACT_TYPES
+            ):
+                self._step(value)
+                return
+            self._lo = value
+        self._run += 1
 
     def _insert_observed(self, value) -> None:
-        """Instrumented twin of :meth:`insert` (same algorithm + hooks)."""
-        self._check_domain(value)
+        """:meth:`insert` plus event accounting; a certified value is a merge."""
         start = perf_counter()
-        self._n += 1
-        if self._batch_size is None:
-            self._insert_unbuffered_observed(value)
-        else:
-            self._buffer.append(value)
-            if len(self._buffer) >= self._batch_size:
-                self._flush_buffer()
+        run = self._run
+        MinIncrementHistogram.insert(self, value)
+        if self._run > run:
+            self._metrics.on_merge()
         self._metrics.on_insert(latency=perf_counter() - start)
 
     def extend(self, values: Iterable) -> None:
         """Insert every value of an iterable, in order.
 
-        Lists and numeric ndarrays take the vectorized kernel: every
-        surviving ladder level absorbs pre-reduced runs, levels that
-        outgrow ``B`` buckets stop early (they are dead either way), and
-        the final state matches the scalar loop exactly.  Out-of-domain
-        values still raise :class:`DomainError` with the prefix before the
-        offending item ingested, as the scalar loop would.  With
-        instrumentation on, the batch emits one ``on_insert`` event
-        carrying the item count instead of one event per item.
+        Lists and numeric ndarrays take the vectorized path: windows of
+        values are certified whole by their min and max, and the short
+        stretch around each uncertified value runs the scalar loop, exact
+        per-level step included.  A batch of at least 4096 values first
+        drops the levels it provably kills (see :meth:`_prune`).  The
+        final state matches the scalar loop exactly.
+        Out-of-domain values still raise :class:`DomainError` with the
+        prefix before the offending item ingested, as the scalar loop
+        would.  With instrumentation on, the batch emits one ``on_insert``
+        event carrying the item count instead of one event per item.
         """
         arr = as_batch_array(values)
         if arr is None:
@@ -172,18 +279,9 @@ class MinIncrementHistogram:
         observe = self._metrics is not None
         start = perf_counter() if observe else 0.0
         if self._batch_size is None:
-            best = self._summaries[0]
-            best_buckets = best.bucket_count if observe else 0
-            dead = 0
-            for off in range(0, n, MAX_WINDOW):
-                dead += self._extend_chunk_unbuffered(arr[off : off + MAX_WINDOW])
-            if observe:
-                if dead:
-                    self._metrics.on_promotion(dead)
-                if self._summaries[0] is best:
-                    absorbed = n - (best.bucket_count - best_buckets)
-                    if absorbed > 0:
-                        self._metrics.on_merge(absorbed)
+            certified = self._extend_certified(arr)
+            if observe and certified:
+                self._metrics.on_merge(certified)
         else:
             # The buffered path accounts flush/promotion/merge events
             # itself (group-0 goes through _flush_buffer, which already
@@ -214,6 +312,7 @@ class MinIncrementHistogram:
             raise InvalidParameterError(f"run range [{beg}, {end}] is empty")
         if self._batch_size is not None:
             return False
+        self._settle()
         span = (hi - lo) / 2.0
         for summary in self._summaries:
             open_ = summary._open
@@ -233,33 +332,143 @@ class MinIncrementHistogram:
                 survivors.append(summary)
         self._keep(survivors)
         self._n = end + 1
+        # The open buckets moved outside the certificate's run.
+        self._disarm()
         return True
 
-    def _extend_chunk_unbuffered(self, arr) -> int:
-        """Batch one chunk into every level; returns dead level count."""
-        limit = self.target_buckets
-        last = self._summaries[-1]
-        survivors = []
-        dead = 0
-        for summary in self._summaries:
-            is_last = summary is last
-            summary._open, consumed = greedy_chunk(
-                arr,
-                summary._next_index,
-                summary._open,
-                summary._closed.append,
-                summary.target_error,
-                stop_after=None if is_last else limit,
-                bucket_count=summary.bucket_count,
-            )
-            summary._next_index += consumed
-            if summary.bucket_count <= limit or is_last:
-                survivors.append(summary)
+    def _extend_certified(self, arr) -> int:
+        """Unbuffered batch ingest; returns the number of certified values."""
+        n = len(arr)
+        self._n += n
+        if not self._exact:
+            for value in arr.tolist():
+                self._step(value)
+            return 0
+        # float64 / int64: the pruning pass's block half-ranges are then
+        # the ones the scalar test computes.
+        arr = arr.astype(np.float64 if arr.dtype.kind == "f" else np.int64, copy=False)
+        if n >= _PRUNE_MIN and self._metrics is None:
+            # Pruning moves the answer level mid-batch, which the merge
+            # counter would observe; instrumented summaries skip it.
+            self._prune(arr)
+        certified = 0
+        i = 0
+        while i < n:
+            j = self._certified_prefix(arr, i)
+            certified += j - i
+            # The first uncertified value is within _SCAN of j.
+            i = min(n, j + _SCAN)
+            certified += self._scalar_block(arr[j:i].tolist())
+        return certified
+
+    def _certified_prefix(self, arr, i: int) -> int:
+        """Count certified values from ``arr[i]`` on, a window at a time.
+
+        Windows of doubling length are tested whole by their min and max
+        (every condition is monotone in the run's extremes); a window that
+        fails is halved.  Returns where the certified windows end: at most
+        ``_SCAN`` values before the first uncertified one (or at the end).
+        """
+        lo, hi = self._lo, self._hi
+        if lo > hi:  # disarmed
+            return i
+        cap_lo, cap_hi, span = self._cap_lo, self._cap_hi, self._span
+        n = len(arr)
+        start = i
+        window = _START_WINDOW
+        grow = True
+        while i < n:
+            seg = arr[i : i + window]
+            top = seg.max().item()
+            bottom = seg.min().item()
+            if top < hi:
+                top = hi
+            if bottom > lo:
+                bottom = lo
+            if top <= cap_hi and bottom >= cap_lo and (top - bottom) / 2.0 <= span:
+                lo, hi = bottom, top
+                i += len(seg)
+                if grow:
+                    window = min(window * 2, MAX_WINDOW)
+                continue
+            if len(seg) <= _SCAN:
+                break
+            # Halve towards the first uncertified value.
+            window = len(seg) // 2
+            grow = False
+        self._lo, self._hi = lo, hi
+        self._run += i - start
+        return i
+
+    def _scalar_block(self, values: list) -> int:
+        """:meth:`insert` over plain Python values already domain-checked.
+
+        Returns the number of values certified.
+        """
+        lo, hi, run = self._lo, self._hi, self._run
+        cap_lo, cap_hi, span = self._cap_lo, self._cap_hi, self._span
+        steps = 0
+        for v in values:
+            if v > hi:
+                if v <= cap_hi and (v - lo) / 2.0 <= span:
+                    hi = v
+                    run += 1
+                    continue
+            elif v < lo:
+                if v >= cap_lo and (hi - v) / 2.0 <= span:
+                    lo = v
+                    run += 1
+                    continue
             else:
-                dead += 1
-        self._keep(survivors)
-        self._n += len(arr)
-        return dead
+                run += 1
+                continue
+            self._run = run
+            self._lo, self._hi = lo, hi
+            self._step(v)
+            steps += 1
+            lo, hi, run = self._lo, self._hi, 0
+            cap_lo, cap_hi, span = self._cap_lo, self._cap_hi, self._span
+        self._run = run
+        self._lo, self._hi = lo, hi
+        return len(values) - steps
+
+    def _prune(self, arr) -> None:
+        """Drop the levels that provably die inside the batch ``arr``.
+
+        A block of consecutive values whose half-range exceeds a level's
+        target cannot sit in one bucket of that level, so a bucket begins
+        inside it; disjoint blocks force distinct boundaries.  A level
+        whose bucket count plus its forced boundaries exceeds ``B`` dies
+        before the batch ends, and the values after its death are
+        unobservable, so dropping it now leaves the final state unchanged.
+        Blocks of 8, 16, 32, ... values are built pairwise in O(n).
+        """
+        levels = self._summaries
+        if len(levels) < 2:
+            return
+        m = len(arr) - len(arr) % _PRUNE_BLOCK
+        bmin = bmax = arr[:m]
+        size = 1
+        targets = np.array([s.target_error for s in levels[:-1]])
+        forced = np.zeros(len(targets), dtype=np.int64)
+        while len(bmin) > 1:
+            p = len(bmin) - len(bmin) % 2
+            bmin = np.minimum(bmin[0:p:2], bmin[1:p:2])
+            bmax = np.maximum(bmax[0:p:2], bmax[1:p:2])
+            size *= 2
+            if size >= _PRUNE_BLOCK:
+                half = np.sort((bmax - bmin) / 2.0)
+                hits = len(half) - np.searchsorted(half, targets, side="right")
+                np.maximum(forced, hits, out=forced)
+        limit = self.target_buckets
+        survivors = [
+            s for s, f in zip(levels, forced.tolist()) if s.bucket_count + f <= limit
+        ]
+        if len(survivors) < len(levels) - 1:
+            survivors.append(levels[-1])
+            self._settle()
+            self._summaries = survivors
+            self._arm()
 
     def _extend_buffered(self, arr, values) -> None:
         """Batched Section 2.2.2 path: whole flush groups at a time.
@@ -361,7 +570,9 @@ class MinIncrementHistogram:
             self._n += n - tail_start
 
     def flush(self) -> None:
-        """Drain the batch buffer (no-op when unbuffered or empty)."""
+        """Bring every level up to date: write the pending run out and
+        drain the batch buffer (a no-op when both are empty)."""
+        self._settle()
         if self._buffer:
             self._flush_buffer()
 
@@ -448,38 +659,147 @@ class MinIncrementHistogram:
                 f"value {value!r} outside universe [0, {self.universe})"
             )
 
-    def _insert_unbuffered(self, value) -> None:
-        limit = self.target_buckets
-        survivors = []
-        for summary in self._summaries:
-            summary.insert(value)
-            if summary.bucket_count <= limit or summary is self._summaries[-1]:
-                survivors.append(summary)
-        self._keep(survivors)
+    def _step(self, value) -> None:
+        """The exact step for one value the certificate does not cover.
 
-    def _insert_unbuffered_observed(self, value) -> None:
-        """:meth:`_insert_unbuffered` plus merge/promotion accounting.
-
-        A *merge* is the value being absorbed into the answer-level (finest
-        surviving) summary's open bucket; a *promotion* is a ladder level
-        dying, which moves the answer to a coarser target error.
+        Writes the pending run out, runs GREEDY-INSERT's step for
+        ``value`` on every level, drops the levels that outgrew ``B``
+        buckets and re-arms the certificate around the new open buckets.
+        Buffered summaries append to the buffer instead.
         """
+        if self._batch_size is not None:
+            self._buffer.append(value)
+            if len(self._buffer) >= self._batch_size:
+                self._flush_buffer()
+            return
+        self._settle()
+        levels = self._summaries
+        observe = self._metrics is not None
+        best = levels[0]
+        best_buckets = best.bucket_count if observe else 0
+        top = levels[-1]
         limit = self.target_buckets
-        best = self._summaries[0]
-        best_buckets = best.bucket_count
         survivors = []
-        dead = 0
-        for summary in self._summaries:
-            summary.insert(value)
-            if summary.bucket_count <= limit or summary is self._summaries[-1]:
+        for summary in levels:
+            open_ = summary._open
+            index = summary._next_index
+            summary._next_index = index + 1
+            if open_ is not None:
+                lo = value if value < open_.min else open_.min
+                hi = value if value > open_.max else open_.max
+                if (hi - lo) / 2.0 <= summary.target_error:
+                    open_.end = index
+                    open_.min = lo
+                    open_.max = hi
+                    survivors.append(summary)
+                    continue
+                summary._closed.append(open_)
+            summary._open = Bucket(index, index, value, value)
+            if len(summary._closed) < limit or summary is top:
                 survivors.append(summary)
-            else:
-                dead += 1
-        self._keep(survivors)
-        if dead:
-            self._metrics.on_promotion(dead)
-        if survivors[0] is best and best.bucket_count == best_buckets:
-            self._metrics.on_merge()
+        self._summaries = survivors
+        if observe:
+            if len(survivors) < len(levels):
+                self._metrics.on_promotion(len(levels) - len(survivors))
+            if survivors[0] is best and best.bucket_count == best_buckets:
+                self._metrics.on_merge()
+        self._lo = self._hi = value
+        self._arm()
+
+    def _settle(self) -> None:
+        """Write the pending run into every open bucket.
+
+        The run's extremes and the certificate are kept: the caps were
+        armed against the open buckets as they were before the run, and
+        resetting the extremes here would let a later value through on
+        bounds the buckets no longer have.
+        """
+        count = self._run
+        if count:
+            lo, hi = self._lo, self._hi
+            for summary in self._summaries:
+                open_ = summary._open
+                open_.end += count
+                if lo < open_.min:
+                    open_.min = lo
+                if hi > open_.max:
+                    open_.max = hi
+                summary._next_index += count
+            self._run = 0
+
+    def _arm(self) -> None:
+        """Compute the caps from the open buckets, or disarm.
+
+        Requires the run's extremes ``[_lo, _hi]`` to lie in every open
+        bucket.  ``_cap_hi`` is the least, over the levels, of the largest
+        float a value may reach without breaking that level's half-range
+        test against its open minimum; ``_cap_lo`` mirrors it on the open
+        maximum; ``_span`` is the finest target, which bounds a run that
+        moves both extremes.  A level that no in-domain value can break on
+        one side sets no cap there; the coarsest level (target at least
+        ``U / 2``) sets none at all.  Each cap is first estimated in plain
+        float arithmetic, and only the levels whose estimate is within
+        rounding of the extreme one get the exact search.
+        """
+        lo, hi = self._lo, self._hi
+        if not (
+            self._exact
+            and lo <= hi
+            and type(lo) in _EXACT_TYPES
+            and type(hi) in _EXACT_TYPES
+        ):
+            self._disarm()
+            return
+        top = float(self.universe)
+        # An estimate lies within ``slack`` of its exact cap, so only the
+        # levels whose estimate is within ``2 * slack`` of the extreme
+        # estimate can hold the extreme cap.
+        slack = 16.0 * math.ulp(top)
+        near = 2.0 * slack
+        uppers = []
+        lowers = []
+        least = _INF
+        most = -_INF
+        for summary in self._summaries[:-1]:
+            open_ = summary._open
+            omin, omax = open_.min, open_.max
+            if type(omin) not in _EXACT_TYPES or type(omax) not in _EXACT_TYPES:
+                self._disarm()
+                return
+            e = summary.target_error
+            if (top - omin) / 2.0 > e:
+                u = omin + 2.0 * e
+                if u <= least + near:
+                    uppers.append((u, omin, e))
+                    if u < least:
+                        least = u
+            if omax / 2.0 > e:
+                v = omax - 2.0 * e
+                if v >= most - near:
+                    lowers.append((v, omax, e))
+                    if v > most:
+                        most = v
+        cap_hi = _INF
+        for u, omin, e in uppers:
+            if u <= least + near:
+                u = _cap(omin, e, slack, top)
+                if u < cap_hi:
+                    cap_hi = u
+        cap_lo = -_INF
+        for v, omax, e in lowers:
+            if v >= most - near:
+                v = -_cap(-omax, e, slack, 0.0)
+                if v > cap_lo:
+                    cap_lo = v
+        self._cap_lo, self._cap_hi = cap_lo, cap_hi
+        self._span = self._summaries[0].target_error
+
+    def _disarm(self) -> None:
+        """Certify nothing: every value takes the exact step until re-armed."""
+        self._settle()
+        self._lo, self._hi = _INF, -_INF
+        self._cap_lo, self._cap_hi = _INF, -_INF
+        self._span = -_INF
 
     def _flush_buffer(self) -> None:
         buffer = self._buffer
