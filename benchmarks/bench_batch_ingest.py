@@ -48,7 +48,6 @@ SMOKE_ITEMS = 60_000
 #: with exact hulls), and either must leave the state ``insert()`` does.
 GATED = ["min-merge", "min-increment"]
 REPORTED = GATED + [
-    "min-increment-batched",
     "sliding-window",
     "pwl-min-increment",
     "pwl-min-merge",

@@ -21,7 +21,6 @@ UNIVERSE = 1 << 15
 CASES = [
     ("min-merge", 20_000),
     ("min-increment", 10_000),
-    ("min-increment-batched", 20_000),
     ("rehist", 1_500),
     ("pwl-min-merge", 2_000),
     ("pwl-min-increment", 600),

@@ -1,7 +1,7 @@
 """Side-by-side comparison of every algorithm in the library.
 
-Streams one dataset through MIN-MERGE, MIN-INCREMENT (plain and batched),
-REHIST, and the PWL variants; prints error, memory, bucket count, and
+Streams one dataset through MIN-MERGE, MIN-INCREMENT, REHIST, and the
+PWL variants; prints error, memory, bucket count, and
 throughput next to the exact offline optimum.  This is the library's
 "executive summary" of the paper's Section 5 in one table.
 
@@ -22,7 +22,6 @@ EPSILON = 0.2
 ALGORITHMS = (
     "min-merge",
     "min-increment",
-    "min-increment-batched",
     "rehist",
     "pwl-min-merge",
     "pwl-min-increment",

@@ -225,9 +225,10 @@ def _min_increment_state(summary: MinIncrementHistogram) -> dict:
         "epsilon": summary.epsilon,
         "universe": summary.universe,
         "include_zero": summary.ladder[0] == 0.0,
-        "batch_size": summary._batch_size,
+        # Fixed values: older readers require both keys.
+        "batch_size": None,
         "items_seen": summary.items_seen,
-        "buffer": list(summary._buffer),
+        "buffer": [],
         "summaries": [_greedy_state(s) for s in summary._summaries],
     }
 
@@ -238,11 +239,14 @@ def _restore_min_increment(state: dict) -> MinIncrementHistogram:
         epsilon=state["epsilon"],
         universe=state["universe"],
         include_zero_level=state["include_zero"],
-        batch_size=state["batch_size"],
     )
-    summary._n = state["items_seen"]
-    summary._buffer = list(state["buffer"])
+    # A checkpoint of the former Section 2.2.2 buffered variant may hold
+    # values its levels have not seen yet: replay them.
+    buffer = state["buffer"]
+    summary._n = state["items_seen"] - len(buffer)
     summary._summaries = [_restore_greedy(s) for s in state["summaries"]]
+    for value in buffer:
+        summary.insert(value)
     return summary
 
 

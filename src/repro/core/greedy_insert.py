@@ -91,65 +91,6 @@ class GreedyInsertSummary:
             )
             self._next_index += len(chunk)
 
-    def insert_run(self, beg: int, end: int, lo, hi) -> bool:
-        """O(1) ingestion of a pre-reduced run (Section 2.2.2, generalized).
-
-        The run covers stream indices ``[beg, end]`` (which must continue
-        the stream at ``items_seen``) with value bounds ``lo`` / ``hi``.
-        Returns True when the whole run fits within the target error --
-        absorbed into the open bucket, or opening a fresh one -- leaving
-        the summary exactly as if each value had been inserted.  Returns
-        False, leaving the summary untouched, when absorption is not
-        provably equivalent (the caller must replay the raw values).
-        """
-        if beg != self._next_index:
-            raise InvalidParameterError(
-                f"run starts at {beg}, summary expects {self._next_index}"
-            )
-        count = end - beg + 1
-        if self._open is not None:
-            new_lo = lo if lo < self._open.min else self._open.min
-            new_hi = hi if hi > self._open.max else self._open.max
-            if (new_hi - new_lo) / 2.0 <= self.target_error:
-                self._open.insert_run(beg, end, lo, hi)
-                self._next_index += count
-                return True
-            return False
-        if (hi - lo) / 2.0 <= self.target_error:
-            self._open = Bucket(beg, end, lo, hi)
-            self._next_index += count
-            return True
-        return False
-
-    def insert_batch(self, values: Sequence, lo, hi) -> bool:
-        """Batched fast path of Section 2.2.2.
-
-        ``lo``/``hi`` must be the min/max of ``values``.  If the whole batch
-        fits in the open bucket without exceeding the target error (Case 1),
-        it is absorbed in O(1); otherwise (Case 2) the batch is scanned
-        item by item.  Returns True when the O(1) fast path was taken.
-        """
-        if not values:
-            return True
-        if self._open is not None:
-            new_lo = lo if lo < self._open.min else self._open.min
-            new_hi = hi if hi > self._open.max else self._open.max
-            if (new_hi - new_lo) / 2.0 <= self.target_error:
-                self._open.end += len(values)
-                self._open.min = new_lo
-                self._open.max = new_hi
-                self._next_index += len(values)
-                return True
-        elif (hi - lo) / 2.0 <= self.target_error:
-            self._open = Bucket(
-                self._next_index, self._next_index + len(values) - 1, lo, hi
-            )
-            self._next_index += len(values)
-            return True
-        for value in values:
-            self.insert(value)
-        return False
-
     # -- queries ---------------------------------------------------------------
 
     @property

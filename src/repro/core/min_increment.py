@@ -10,7 +10,7 @@ is within ``(1 + eps)`` of optimal -- a (1 + eps, 1)-approximation in
 ``O(eps^-1 B log U)`` space (Theorem 2).
 
 Written as in Algorithm 2, every value touches every level.  This
-implementation gives the unbuffered ladder a *pending run* -- the count,
+implementation gives the ladder a *pending run* -- the count,
 min and max of the values every surviving level is known to absorb but has
 not yet been written -- and a *certificate*: three bounds, re-armed each
 time the levels are brought up to date, within which the next value
@@ -22,10 +22,10 @@ and ``insert()`` is amortized O(1) without a buffer.  Every read writes
 the pending run out first; the result is exactly Algorithm 2's, bucket for
 bucket (see ``docs/ALGORITHMS.md`` for the soundness argument).
 
-The batched variant of Section 2.2.2 is available via ``batch_size``: values
-are buffered and each summary first tries to swallow the whole buffer into
-its open bucket in O(1) (possible whenever the buffer's min/max fit), which
-amortizes the per-item cost to O(1).
+Section 2.2.2 reaches the same amortized bound by buffering arrivals and
+testing the whole buffer's min/max against each open bucket; the
+certificate applies that O(1) absorb test to each value against exact
+thresholds instead, so no buffer is kept.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.batch import (
-    _START_WINDOW,
-    MAX_WINDOW,
-    absorbable_prefix,
-    as_batch_array,
-    greedy_chunk,
-)
+from repro.core.batch import _START_WINDOW, MAX_WINDOW, as_batch_array
 from repro.core.bucket import Bucket
 from repro.core.error_ladder import ErrorLadder
 from repro.core.greedy_insert import GreedyInsertSummary
@@ -141,11 +135,6 @@ class MinIncrementHistogram:
         Size ``U`` of the integer value domain ``[0, U)``.  Values outside
         the domain raise :class:`DomainError` (the theory's ladder top
         depends on ``U``).
-    batch_size:
-        If given, enable the Section 2.2.2 buffered fast path with this
-        buffer length; ``None`` processes items one at a time.  The paper
-        sets the buffer to ``eps^-1 log U`` (the ladder size), available
-        here as ``batch_size="auto"``.
     memory_model:
         Cost model used by :meth:`memory_bytes`.
     metrics:
@@ -168,7 +157,6 @@ class MinIncrementHistogram:
         epsilon: float,
         universe: int,
         *,
-        batch_size=None,
         include_zero_level: bool = True,
         memory_model: MemoryModel = DEFAULT_MODEL,
         metrics=None,
@@ -187,17 +175,9 @@ class MinIncrementHistogram:
             for level in self.ladder
         ]
         self._n = 0
-        if batch_size == "auto":
-            batch_size = len(self.ladder)
-        if batch_size is not None and batch_size < 1:
-            raise InvalidParameterError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        self._batch_size: Optional[int] = batch_size
-        self._buffer: list = []
         # The certificate is armed only where its float thresholds decide
         # the half-range test exactly (see _arm).
-        self._exact = batch_size is None and universe <= _EXACT_UNIVERSE
+        self._exact = universe <= _EXACT_UNIVERSE
         self._run = 0
         self._disarm()
         self._metrics = resolve_metrics(metrics)
@@ -211,8 +191,7 @@ class MinIncrementHistogram:
         """Process the next stream value (Algorithm 2).
 
         A value inside the certificate is only counted into the pending
-        run; any other value takes the exact per-level step (or, with
-        ``batch_size``, goes to the buffer).
+        run; any other value takes the exact per-level step.
         """
         if not 0 <= value < self.universe:
             raise DomainError(
@@ -278,66 +257,14 @@ class MinIncrementHistogram:
             self._check_domain(arr[offender].item())  # raises DomainError
         observe = self._metrics is not None
         start = perf_counter() if observe else 0.0
-        if self._batch_size is None:
-            certified = self._extend_certified(arr)
-            if observe and certified:
-                self._metrics.on_merge(certified)
-        else:
-            # The buffered path accounts flush/promotion/merge events
-            # itself (group-0 goes through _flush_buffer, which already
-            # does its own accounting when instrumented).
-            self._extend_buffered(arr, values)
+        certified = self._extend_certified(arr)
         if observe:
+            if certified:
+                self._metrics.on_merge(certified)
             self._metrics.on_insert(n, latency=perf_counter() - start)
 
-    def insert_run(self, beg: int, end: int, lo, hi) -> bool:
-        """O(1)-per-level ingestion of a pre-reduced run of values.
-
-        The run covers stream indices ``[beg, end]`` (continuing at
-        ``items_seen``) with value bounds ``lo`` / ``hi``.  Returns True
-        when *every* surviving ladder level can absorb the run into its
-        open bucket (or open a fresh one) within its target error, leaving
-        the summary exactly as if each value had been inserted; returns
-        False, leaving the summary untouched, otherwise.  Buffered
-        summaries always return False: their flush grouping depends on the
-        raw values.
-        """
-        self._check_domain(lo)
-        self._check_domain(hi)
-        if beg != self._n:
-            raise InvalidParameterError(
-                f"run starts at {beg}, summary expects {self._n}"
-            )
-        if end < beg:
-            raise InvalidParameterError(f"run range [{beg}, {end}] is empty")
-        if self._batch_size is not None:
-            return False
-        self._settle()
-        span = (hi - lo) / 2.0
-        for summary in self._summaries:
-            open_ = summary._open
-            if open_ is not None:
-                new_lo = lo if lo < open_.min else open_.min
-                new_hi = hi if hi > open_.max else open_.max
-                if (new_hi - new_lo) / 2.0 > summary.target_error:
-                    return False
-            elif span > summary.target_error:
-                return False
-        limit = self.target_buckets
-        survivors = []
-        for summary in self._summaries:
-            absorbed = summary.insert_run(beg, end, lo, hi)
-            assert absorbed
-            if summary.bucket_count <= limit or summary is self._summaries[-1]:
-                survivors.append(summary)
-        self._keep(survivors)
-        self._n = end + 1
-        # The open buckets moved outside the certificate's run.
-        self._disarm()
-        return True
-
     def _extend_certified(self, arr) -> int:
-        """Unbuffered batch ingest; returns the number of certified values."""
+        """Batch ingest; returns the number of certified values."""
         n = len(arr)
         self._n += n
         if not self._exact:
@@ -470,117 +397,16 @@ class MinIncrementHistogram:
             self._summaries = survivors
             self._arm()
 
-    def _extend_buffered(self, arr, values) -> None:
-        """Batched Section 2.2.2 path: whole flush groups at a time.
-
-        Replays the scalar buffer protocol exactly -- same flush
-        boundaries, same per-group O(1) absorb-or-rescan decisions -- but
-        reduces full groups with vectorized min/max and gallops over
-        consecutive absorbable groups.  ``values`` is the original input
-        so the leftover buffer keeps the caller's element types.
-        """
-        size = self._batch_size
-        n = len(arr)
-        if len(self._buffer) + n < size:
-            self._buffer.extend(values[i] for i in range(n))
-            self._n += n
-            return
-        first = size - len(self._buffer)
-        if first:
-            self._buffer.extend(values[i] for i in range(first))
-        self._n += first
-        self._flush_buffer()
-        groups = (n - first) // size
-        if groups:
-            observe = self._metrics is not None
-            best = self._summaries[0]
-            best_buckets = best.bucket_count if observe else 0
-            dead = 0
-            mid = np.ascontiguousarray(arr[first : first + groups * size])
-            blocks = mid.reshape(groups, size)
-            gmin = blocks.min(axis=1)
-            gmax = blocks.max(axis=1)
-            limit = self.target_buckets
-            last = self._summaries[-1]
-            survivors = []
-            for summary in self._summaries:
-                is_last = summary is last
-                g = 0
-                while g < groups:
-                    if not is_last and summary.bucket_count > limit:
-                        break
-                    if summary._open is not None:
-                        j, lo, hi = absorbable_prefix(
-                            gmin,
-                            gmax,
-                            g,
-                            summary._open.min,
-                            summary._open.max,
-                            summary.target_error,
-                        )
-                        if j > g:
-                            count = (j - g) * size
-                            summary._open.insert_run(
-                                summary._next_index,
-                                summary._next_index + count - 1,
-                                lo,
-                                hi,
-                            )
-                            summary._next_index += count
-                            g = j
-                            continue
-                    elif (gmax[g] - gmin[g]) / 2.0 <= summary.target_error:
-                        summary._open = Bucket(
-                            summary._next_index,
-                            summary._next_index + size - 1,
-                            gmin[g].item(),
-                            gmax[g].item(),
-                        )
-                        summary._next_index += size
-                        g += 1
-                        continue
-                    # Case 2 of insert_batch: rescan this group item by item.
-                    summary._open, _ = greedy_chunk(
-                        blocks[g],
-                        summary._next_index,
-                        summary._open,
-                        summary._closed.append,
-                        summary.target_error,
-                    )
-                    summary._next_index += size
-                    g += 1
-                if summary.bucket_count <= limit or is_last:
-                    survivors.append(summary)
-                else:
-                    dead += 1
-            self._keep(survivors)
-            self._n += groups * size
-            if observe:
-                for _ in range(groups):
-                    self._metrics.on_flush(size)
-                if dead:
-                    self._metrics.on_promotion(dead)
-                if survivors[0] is best:
-                    absorbed = groups * size - (best.bucket_count - best_buckets)
-                    if absorbed > 0:
-                        self._metrics.on_merge(absorbed)
-        tail_start = first + groups * size
-        if tail_start < n:
-            self._buffer = [values[i] for i in range(tail_start, n)]
-            self._n += n - tail_start
-
     def flush(self) -> None:
-        """Bring every level up to date: write the pending run out and
-        drain the batch buffer (a no-op when both are empty)."""
+        """Bring every level up to date: write the pending run out (a
+        no-op when it is empty).  Every read does this itself."""
         self._settle()
-        if self._buffer:
-            self._flush_buffer()
 
     # -- queries ----------------------------------------------------------------
 
     @property
     def items_seen(self) -> int:
-        """Number of stream values accepted so far (buffered ones included)."""
+        """Number of stream values accepted so far (the pending run included)."""
         return self._n
 
     @property
@@ -623,7 +449,7 @@ class MinIncrementHistogram:
           ``None`` when every such level has been deleted -- then all the
           summary can certify is ``lower``.
         """
-        if error < 0:
+        if not error >= 0:  # NaN fails this too
             raise InvalidParameterError(f"error must be >= 0, got {error}")
         self.flush()
         if self._n == 0:
@@ -645,11 +471,9 @@ class MinIncrementHistogram:
         return lower, upper
 
     def memory_bytes(self) -> int:
-        """Accounted memory: surviving summaries, ladder entries, buffer."""
+        """Accounted memory: surviving summaries and ladder entries."""
         total = sum(s.memory_bytes() for s in self._summaries)
-        total += self._model.ladder_entries(len(self._summaries))
-        total += self._model.words(len(self._buffer))
-        return total
+        return total + self._model.ladder_entries(len(self._summaries))
 
     # -- internals -----------------------------------------------------------------
 
@@ -665,13 +489,7 @@ class MinIncrementHistogram:
         Writes the pending run out, runs GREEDY-INSERT's step for
         ``value`` on every level, drops the levels that outgrew ``B``
         buckets and re-arms the certificate around the new open buckets.
-        Buffered summaries append to the buffer instead.
         """
-        if self._batch_size is not None:
-            self._buffer.append(value)
-            if len(self._buffer) >= self._batch_size:
-                self._flush_buffer()
-            return
         self._settle()
         levels = self._summaries
         observe = self._metrics is not None
@@ -800,37 +618,3 @@ class MinIncrementHistogram:
         self._lo, self._hi = _INF, -_INF
         self._cap_lo, self._cap_hi = _INF, -_INF
         self._span = -_INF
-
-    def _flush_buffer(self) -> None:
-        buffer = self._buffer
-        lo = min(buffer)
-        hi = max(buffer)
-        limit = self.target_buckets
-        observe = self._metrics is not None
-        best = self._summaries[0]
-        best_buckets = best.bucket_count if observe else 0
-        survivors = []
-        dead = 0
-        for summary in self._summaries:
-            summary.insert_batch(buffer, lo, hi)
-            if summary.bucket_count <= limit or summary is self._summaries[-1]:
-                survivors.append(summary)
-            else:
-                dead += 1
-        self._keep(survivors)
-        self._buffer = []
-        if observe:
-            self._metrics.on_flush(len(buffer))
-            if dead:
-                self._metrics.on_promotion(dead)
-            if survivors[0] is best:
-                # Values that did not open a new answer-level bucket were
-                # absorbed into existing ones.
-                absorbed = len(buffer) - (best.bucket_count - best_buckets)
-                if absorbed > 0:
-                    self._metrics.on_merge(absorbed)
-
-    def _keep(self, survivors: list[GreedyInsertSummary]) -> None:
-        # The coarsest level always survives (one bucket suffices for the
-        # whole domain), so the list never empties.
-        self._summaries = survivors

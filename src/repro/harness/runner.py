@@ -47,13 +47,6 @@ def _make_min_increment(cfg):
     )
 
 
-def _make_min_increment_batched(cfg):
-    return MinIncrementHistogram(
-        buckets=cfg["buckets"], epsilon=cfg["epsilon"],
-        universe=cfg["universe"], batch_size="auto", metrics=cfg["metrics"],
-    )
-
-
 def _make_rehist(cfg):
     return RehistHistogram(
         buckets=cfg["buckets"], epsilon=cfg["epsilon"],
@@ -98,7 +91,6 @@ def _make_sliding_window_pwl(cfg):
 ALGORITHM_FACTORIES = {
     "min-merge": _make_min_merge,
     "min-increment": _make_min_increment,
-    "min-increment-batched": _make_min_increment_batched,
     "rehist": _make_rehist,
     "pwl-min-merge": _make_pwl_min_merge,
     "pwl-min-increment": _make_pwl_min_increment,

@@ -6,7 +6,8 @@ small bundle of pre-resolved counters plus one latency recorder, with one
 algorithm family (documented in ``docs/OBSERVABILITY.md``):
 
 ``on_insert``
-    A stream value was accepted (buffered values count on arrival).
+    A stream value was accepted (a batch emits one event carrying its
+    item count).
 ``on_merge``
     Work was absorbed into an existing bucket instead of growing the
     summary: a MIN-MERGE adjacent-pair merge, or a GREEDY-INSERT value
@@ -15,7 +16,7 @@ algorithm family (documented in ``docs/OBSERVABILITY.md``):
     A MIN-INCREMENT ladder level died (its summary outgrew ``B``), so
     the answer promoted to a coarser target error.
 ``on_flush``
-    A batch buffer was drained (Section 2.2.2 fast path).
+    A GK quantile sketch ran a compress sweep.
 ``on_evict``
     Summary state was dropped for reasons other than merging: a
     sliding-window bucket expired or was trimmed, or a fleet stream was
@@ -124,7 +125,7 @@ class SummaryMetrics:
         self.promotions.value += n
 
     def on_flush(self, items: int = 0) -> None:
-        """One batch-buffer flush covering ``items`` buffered values."""
+        """One GK compress sweep that folded ``items`` tuples."""
         self.flushes.value += 1
 
     def on_evict(self, n: int = 1) -> None:

@@ -15,7 +15,6 @@ import pytest
 from repro import checkpoint
 from repro.core.batch import absorbable_prefix, as_batch_array, greedy_chunk
 from repro.core.bucket import Bucket
-from repro.core.greedy_insert import GreedyInsertSummary
 from repro.core.min_increment import MinIncrementHistogram
 from repro.core.min_merge import MinMergeHistogram
 from repro.exceptions import DomainError, InvalidParameterError
@@ -112,17 +111,6 @@ class TestEquivalenceAllAlgorithms:
         summary.check_heap_consistency()
         summary.check_min_merge_property()
 
-    def test_buffered_min_increment_batch(self):
-        data = stream(7)
-        scalar = MinIncrementHistogram(5, 0.4, UNIVERSE, batch_size=7)
-        for v in data.tolist():
-            scalar.insert(v)
-        batched = MinIncrementHistogram(5, 0.4, UNIVERSE, batch_size=7)
-        batched.extend(data)
-        assert scalar.items_seen == batched.items_seen
-        assert scalar._buffer == batched._buffer
-        assert state_of(scalar) == state_of(batched)
-
     def test_float_streams(self):
         rng = np.random.default_rng(8)
         data = rng.random(500) * (UNIVERSE - 1)
@@ -172,21 +160,6 @@ class TestInsertRun:
         with pytest.raises(InvalidParameterError):
             bucket.insert_run(2, 4, 2, 9)
 
-    def test_greedy_insert_run_open_bucket(self):
-        summary = GreedyInsertSummary(10.0)
-        summary.insert(5)
-        assert summary.insert_run(1, 8, 3, 12)
-        assert summary.bucket_count == 1
-        assert summary.items_seen == 9
-
-    def test_greedy_insert_run_refuses_oversized(self):
-        summary = GreedyInsertSummary(2.0)
-        summary.insert(5)
-        before = summary.buckets_snapshot()
-        assert not summary.insert_run(1, 8, 0, 100)
-        assert summary.buckets_snapshot() == before
-        assert summary.items_seen == 1
-
     def test_min_merge_insert_run_absorbs_cheap_run(self):
         summary = MinMergeHistogram(buckets=2)
         for v in [0, 100, 0, 100, 50, 50]:
@@ -194,17 +167,6 @@ class TestInsertRun:
         assert summary.insert_run(6, 9, 50, 50)
         assert summary.items_seen == 10
         summary.check_heap_consistency()
-
-    def test_min_increment_insert_run_all_levels_or_nothing(self):
-        summary = MinIncrementHistogram(4, 0.4, UNIVERSE)
-        summary.insert(100)
-        before = state_of(summary)
-        # A run spanning the whole universe cannot fit the finest level.
-        assert not summary.insert_run(1, 3, 0, UNIVERSE - 1)
-        assert state_of(summary) == before
-        # A constant run fits every level, including the zero level.
-        assert summary.insert_run(1, 3, 100, 100)
-        assert summary.items_seen == 4
 
 
 class TestKernels:

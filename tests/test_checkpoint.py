@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,23 @@ from repro.exceptions import InvalidParameterError, UnsupportedCheckpointError
 
 UNIVERSE = 512
 streams = st.lists(st.integers(0, UNIVERSE - 1), min_size=1, max_size=150)
+
+#: MIN-INCREMENT checkpoints written by the Section 2.2.2 buffered variant
+#: (``batch_size`` 1, 7 and ``"auto"``) before it was removed, each taken
+#: 103 values into ``stream``, after 20 of the 34 ladder levels had died.
+BUFFERED = json.loads(
+    (Path(__file__).parent / "data" / "buffered_min_increment_checkpoints.json")
+    .read_text()
+)
+
+
+def _buffered_prefix_summary() -> MinIncrementHistogram:
+    """An unbuffered summary fed the prefix the fixtures were taken at."""
+    summary = MinIncrementHistogram(
+        BUFFERED["buckets"], BUFFERED["epsilon"], BUFFERED["universe"]
+    )
+    summary.extend(BUFFERED["stream"][: BUFFERED["prefix"]])
+    return summary
 
 
 def _snapshot(summary) -> tuple:
@@ -127,15 +147,33 @@ class TestMinIncrement:
         assert resumed.alive_levels == continuous.alive_levels
 
     def test_buffered_summary_preserves_pending_items(self):
-        kwargs = {
-            "buckets": 4, "epsilon": 0.2, "universe": UNIVERSE,
-            "batch_size": 64,
-        }
-        summary = MinIncrementHistogram(**kwargs)
-        summary.extend([1, 2, 3])  # still sitting in the buffer
-        resumed = restore(state_dict(summary))
-        assert resumed.items_seen == 3
-        assert resumed.histogram().coverage == 3
+        # Each old checkpoint restores to the state of an unbuffered
+        # summary fed the same prefix: its buffered values are replayed.
+        for state in BUFFERED["checkpoints"].values():
+            resumed = restore(state)
+            assert state_dict(resumed) == state_dict(_buffered_prefix_summary())
+
+    def test_buffered_checkpoint_continues_like_uninterrupted_run(self):
+        continuous = _buffered_prefix_summary()
+        continuous.extend(BUFFERED["stream"][BUFFERED["prefix"]:])
+        for state in BUFFERED["checkpoints"].values():
+            resumed = restore(state)
+            resumed.extend(BUFFERED["stream"][BUFFERED["prefix"]:])
+            assert state_dict(resumed) == state_dict(continuous)
+            assert _snapshot(resumed) == _snapshot(continuous)
+
+    def test_buffered_fixtures_cover_pending_values_and_dead_levels(self):
+        ladder = len(_buffered_prefix_summary().ladder)
+        buffers = {}
+        for batch, state in BUFFERED["checkpoints"].items():
+            # "auto" sized the buffer to the ladder.
+            assert state["batch_size"] == (ladder if batch == "auto" else int(batch))
+            assert state["items_seen"] == BUFFERED["prefix"]
+            assert len(state["summaries"]) < ladder
+            buffers[batch] = len(state["buffer"])
+        # A one-value buffer drains on every arrival.
+        assert buffers["1"] == 0
+        assert buffers["7"] > 0 and buffers["auto"] > 0
 
 
 class TestSlidingWindow:

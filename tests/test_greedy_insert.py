@@ -107,45 +107,47 @@ class TestOptimality:
 
 
 class TestBatchPath:
+    """Batch ``extend()``: vectorized run absorption, scalar fallback."""
+
     @given(
         st.lists(st.integers(0, 100), min_size=1, max_size=150),
         st.integers(1, 10),
         st.sampled_from([0.0, 1.0, 4.0, 16.0]),
     )
     def test_batched_equals_per_item(self, values, batch, error):
-        """insert_batch must land in exactly the same state as insert."""
+        """Chunked extend() lands in exactly the same state as insert."""
         reference = GreedyInsertSummary(error)
-        reference.extend(values)
+        for value in values:
+            reference.insert(value)
         batched = GreedyInsertSummary(error)
         for i in range(0, len(values), batch):
-            chunk = values[i:i + batch]
-            batched.insert_batch(chunk, min(chunk), max(chunk))
-        # The fast path is state-identical to per-item insertion: if the
-        # whole chunk fits the open bucket, every prefix of it does too,
-        # and Case 1 installs the exact union min/max.
+            batched.extend(values[i:i + batch])
         assert batched.buckets_snapshot() == reference.buckets_snapshot()
 
     def test_case1_fast_path_taken(self):
+        # The whole batch fits the open bucket.
         summary = GreedyInsertSummary(10.0)
         summary.insert(5)
-        assert summary.insert_batch([6, 7, 8], 6, 8) is True
+        summary.extend([6, 7, 8])
         assert summary.bucket_count == 1
+        assert summary.items_seen == 4
 
     def test_case2_falls_back_to_scan(self):
         summary = GreedyInsertSummary(1.0)
         summary.insert(5)
-        assert summary.insert_batch([50, 51, 90], 50, 90) is False
+        summary.extend([50, 51, 90])
         assert summary.bucket_count == 3
 
     def test_empty_batch_is_noop(self):
         summary = GreedyInsertSummary(1.0)
         summary.insert(5)
-        assert summary.insert_batch([], 0, 0) is True
+        summary.extend([])
         assert summary.bucket_count == 1
+        assert summary.items_seen == 1
 
     def test_batch_into_empty_summary(self):
         summary = GreedyInsertSummary(5.0)
-        assert summary.insert_batch([1, 2, 3], 1, 3) is True
+        summary.extend([1, 2, 3])
         buckets = summary.buckets_snapshot()
         assert (buckets[0].beg, buckets[0].end) == (0, 2)
 

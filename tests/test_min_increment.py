@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,12 +30,6 @@ class TestConstruction:
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidParameterError):
             MinIncrementHistogram(buckets=4, epsilon=1.5, universe=UNIVERSE)
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(InvalidParameterError):
-            MinIncrementHistogram(
-                buckets=4, epsilon=0.2, universe=UNIVERSE, batch_size=0
-            )
 
     def test_empty_summary(self):
         summary = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
@@ -128,6 +124,20 @@ class TestDualQuery:
         with pytest.raises(InvalidParameterError):
             summary.buckets_for_error(-1.0)
 
+    @pytest.mark.parametrize("error", [math.nan, -1, -math.inf])
+    def test_nan_and_negative_errors_raise(self, error):
+        summary = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
+        summary.extend([5, 90, 7])
+        with pytest.raises(InvalidParameterError):
+            summary.buckets_for_error(error)
+
+    def test_zero_and_infinite_errors_answer(self):
+        summary = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
+        summary.extend([5, 90, 7])
+        assert summary.buckets_for_error(0.0) == (3, 3)
+        # Every level's target is finite: the coarsest one answers.
+        assert summary.buckets_for_error(math.inf) == (1, 1)
+
     def test_constant_stream_needs_one_bucket(self):
         summary = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
         summary.extend([5] * 50)
@@ -157,14 +167,16 @@ class TestDualQuery:
 
 
 class TestBatching:
+    """Batch ``extend()`` ingest and the pending run it leaves behind."""
+
     @given(streams, st.integers(1, 16))
     def test_batched_result_equals_unbuffered(self, values, batch_size):
         plain = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
-        plain.extend(values)
-        batched = MinIncrementHistogram(
-            buckets=4, epsilon=0.2, universe=UNIVERSE, batch_size=batch_size
-        )
-        batched.extend(values)
+        for value in values:
+            plain.insert(value)
+        batched = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
+        for i in range(0, len(values), batch_size):
+            batched.extend(values[i : i + batch_size])
         batched.flush()
         assert batched.alive_levels == plain.alive_levels
         assert batched.error == plain.error
@@ -176,28 +188,21 @@ class TestBatching:
             for b in plain.best_summary().buckets_snapshot()
         ]
 
-    def test_auto_batch_size_is_ladder_length(self):
-        summary = MinIncrementHistogram(
-            buckets=4, epsilon=0.2, universe=UNIVERSE, batch_size="auto"
-        )
-        assert summary._batch_size == len(summary.ladder)
-
     def test_histogram_flushes_pending_buffer(self):
-        summary = MinIncrementHistogram(
-            buckets=4, epsilon=0.2, universe=UNIVERSE, batch_size=64
-        )
-        summary.extend([1, 2, 3])
+        summary = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
+        summary.extend([3, 3, 3])  # the last two are only counted, in the run
+        assert summary._run == 2
         hist = summary.histogram()  # implicit flush
         assert hist.end == 2
 
     def test_flush_is_idempotent(self):
-        summary = MinIncrementHistogram(
-            buckets=4, epsilon=0.2, universe=UNIVERSE, batch_size=8
-        )
+        summary = MinIncrementHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
         summary.extend([1, 2, 3])
         summary.flush()
+        once = summary.best_summary().buckets_snapshot()
         summary.flush()
         assert summary.items_seen == 3
+        assert summary.best_summary().buckets_snapshot() == once
 
 
 class TestMemory:

@@ -132,22 +132,6 @@ class TestSummaryEvents:
             summary.alive_levels
         )
 
-    def test_batched_min_increment_counts_flushes(self):
-        summary = MinIncrementHistogram(
-            buckets=4,
-            epsilon=0.5,
-            universe=1 << 10,
-            batch_size=64,
-            metrics=True,
-        )
-        rng = random.Random(13)
-        summary.extend(rng.randrange(1 << 10) for _ in range(640))
-        counters = _counters(summary)
-        assert counters["inserts"] == 640
-        assert counters["flushes"] >= 640 // 64
-        # Buffered values count on arrival, before any flush drains them.
-        assert summary.items_seen == 640
-
     def test_sliding_window_counts_evictions(self):
         summary = SlidingWindowMinIncrement(
             buckets=4, epsilon=0.5, universe=1 << 8, window=32, metrics=True

@@ -38,9 +38,8 @@ class TestMillionItems:
         assert hist.coverage == 1_000_000
 
     def test_min_increment_batched_at_scale(self, million_walk):
-        summary = MinIncrementHistogram(
-            buckets=32, epsilon=0.2, universe=UNIVERSE, batch_size="auto"
-        )
+        # One batch extend() of the whole walk.
+        summary = MinIncrementHistogram(buckets=32, epsilon=0.2, universe=UNIVERSE)
         summary.extend(million_walk)
         summary.flush()
         assert summary.items_seen == 1_000_000
