@@ -8,7 +8,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test overhead-guard lint coverage check bench bench-smoke bench-parallel bench-wire bench-soa service-smoke rest-smoke scenario-smoke scenario-full load-slo validate-bench
+.PHONY: test overhead-guard lint coverage check bench bench-smoke bench-parallel bench-wire service-smoke rest-smoke scenario-smoke scenario-full load-slo validate-bench
 
 # Line-coverage floor enforced by `make coverage` (and the CI coverage job).
 COV_FAIL_UNDER ?= 85
@@ -48,10 +48,8 @@ bench-smoke:
 		--json BENCH_PR.json --min-speedup 2.0
 	$(PYTHON) benchmarks/bench_parallel_ingest.py --quick \
 		--json BENCH_PARALLEL.json --min-speedup 1.3
-	$(PYTHON) benchmarks/bench_soa.py --smoke \
-		--json BENCH_SOA.json --min-speedup 2.0
 	$(PYTHON) benchmarks/validate_bench_json.py \
-		BENCH_PR.json BENCH_PARALLEL.json BENCH_SOA.json
+		BENCH_PR.json BENCH_PARALLEL.json
 
 bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel_ingest.py \
@@ -62,13 +60,6 @@ bench-parallel:
 bench-wire:
 	$(PYTHON) benchmarks/bench_wire.py --json BENCH_WIRE.json
 	$(PYTHON) benchmarks/validate_bench_json.py BENCH_WIRE.json
-
-# SoA vs object maintenance-kernel gate at the paper's n = 1e6
-# (acceptance target >= 5x on the scalar path; CI smoke gates a shorter
-# stream at >= 2x inside bench-smoke).
-bench-soa:
-	$(PYTHON) benchmarks/bench_soa.py --json BENCH_SOA.json --min-speedup 5.0
-	$(PYTHON) benchmarks/validate_bench_json.py BENCH_SOA.json
 
 # End-to-end service gate: boot the TCP server, stream 100k values over
 # the wire, diff the served histograms against one-shot summarize(),
@@ -90,8 +81,8 @@ rest-smoke:
 # Scenario-suite gate (the CI `scenario-smoke` job): simulate bundled
 # YAML workloads through the scenario runner, verify realized error
 # against the offline-optimal oracle, and require every differential
-# conformance cell (object/soa x serial/parallel x scalar/batched) to
-# be bit-identical.  `scenario-full` is the nightly configuration: all
+# conformance cell (serial/parallel x scalar/batched) to be
+# bit-identical.  `scenario-full` is the nightly configuration: all
 # bundled scenarios plus the full matrix.
 scenario-smoke:
 	$(PYTHON) benchmarks/bench_scenarios.py --smoke --json BENCH_SCENARIO.json
@@ -133,5 +124,5 @@ load-slo:
 validate-bench:
 	$(PYTHON) benchmarks/validate_bench_json.py --allow-missing \
 		BENCH_PR.json BENCH_PARALLEL.json BENCH_WIRE.json \
-		BENCH_SOA.json BENCH_SERVICE.json BENCH_LOAD.json \
+		BENCH_SERVICE.json BENCH_LOAD.json \
 		BENCH_SCENARIO.json BENCH_REST.json

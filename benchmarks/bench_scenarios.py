@@ -5,7 +5,7 @@ simulator and the differential conformance matrix, then writes the
 machine-readable ``BENCH_SCENARIO.json`` artifact CI uploads (validated
 by ``validate_bench_json.py``).  The gate fails when any scenario's
 realized error exceeds its method's guarantee against the offline
-oracle, or when any conformance cell (object/soa x serial/parallel x
+oracle, or when any conformance cell (serial/parallel x
 scalar/batched) is not bit-identical.
 
 Usage::

@@ -54,18 +54,3 @@ def test_ingest_throughput(benchmark, stream, name, length):
     benchmark.extra_info["per_item_us"] = (
         benchmark.stats.stats.mean / length * 1e6
     )
-
-
-def test_min_merge_heap_vs_linear_speed(benchmark):
-    """The Section 2.1.1 heap matters once B is large (ablation teaser)."""
-    values = brownian(5_000)
-
-    def ingest_linear():
-        from repro.core.min_merge import MinMergeHistogram
-
-        algo = MinMergeHistogram(buckets=128, findmin="linear")
-        algo.extend(values)
-        return algo
-
-    algo = benchmark(ingest_linear)
-    assert algo.items_seen == 5_000

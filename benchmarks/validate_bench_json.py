@@ -92,20 +92,6 @@ SPECS = {
             "hull.speedup",
         ],
     },
-    "BENCH_SOA.json": {
-        "required": [
-            "benchmark",
-            "items",
-            "min_speedup",
-            "best_of",
-            "scalar.object_ns_per_item",
-            "scalar.soa_ns_per_item",
-            "scalar.speedup",
-            "scalar.gated",
-            "batch.speedup",
-            "pwl_scalar.speedup",
-        ],
-    },
     "BENCH_SCENARIO.json": {
         "required": [
             "schema",

@@ -80,7 +80,7 @@ def plan_summary(
     """
     if len(sample) == 0:
         raise InvalidParameterError("cannot plan from an empty sample")
-    if target_error < 0:
+    if not target_error >= 0:
         raise InvalidParameterError(
             f"target_error must be >= 0, got {target_error}"
         )

@@ -94,11 +94,27 @@ _METHOD_SPECS = {
     "optimal-pwl": _MethodSpec(offline_pwl=True),
 }
 
-#: Methods whose summaries accept ``backend=`` ("object" | "soa"): the
-#: MIN-MERGE family, where the structure-of-arrays kernel
-#: (:mod:`repro.core.soa`) provides a bit-identical, several-times-faster
-#: maintenance loop.  See ``docs/PERF.md`` for how to choose.
-BACKEND_METHODS = ("min-merge", "pwl-min-merge")
+def check_backend(backend: str, method) -> None:
+    """Validate a deprecated ``backend=`` argument; it selects nothing.
+
+    The MIN-MERGE family runs one maintenance kernel
+    (:mod:`repro.core.soa`).  Callers written against the old two-kernel
+    API may still pass ``backend``: every method accepts the old default
+    ``"object"``, the MIN-MERGE family also accepts ``"soa"``, and any
+    other combination raises exactly as before.
+    """
+    if backend == "object":
+        return
+    if backend != "soa":
+        raise InvalidParameterError(
+            f"backend must be 'object' or 'soa', got {backend!r}"
+        )
+    if not isinstance(method, str) or method not in PARALLEL_METHODS:
+        label = method.__name__ if isinstance(method, type) else repr(method)
+        raise InvalidParameterError(
+            f"backend= is only accepted for the MIN-MERGE family "
+            f"({', '.join(PARALLEL_METHODS)}), not {label}"
+        )
 
 
 def build_summary(
@@ -118,14 +134,10 @@ def build_summary(
     exact same summary object for a given configuration.  ``window``
     selects the sliding-window variant where one exists; offline methods
     (``"optimal"``, ``"optimal-pwl"``) have no streaming summary and
-    raise.  ``backend`` selects the maintenance kernel for the methods in
-    :data:`BACKEND_METHODS` and must stay ``"object"`` elsewhere.
+    raise.  ``backend`` is deprecated and ignored (see
+    :func:`check_backend`).
     """
-    if backend != "object" and method not in BACKEND_METHODS:
-        raise InvalidParameterError(
-            f"method {method!r} does not support backend={backend!r}; "
-            f"backend= is supported for: {', '.join(BACKEND_METHODS)}"
-        )
+    check_backend(backend, method)
     spec = _METHOD_SPECS.get(method)
     if spec is None or spec.summary_cls is None:
         raise InvalidParameterError(
@@ -157,10 +169,6 @@ def build_summary(
         return spec.summary_cls(
             buckets=buckets, epsilon=epsilon, universe=universe,
             metrics=metrics,
-        )
-    if method in BACKEND_METHODS:
-        return spec.summary_cls(
-            buckets=buckets, metrics=metrics, backend=backend
         )
     return spec.summary_cls(buckets=buckets, metrics=metrics)
 
@@ -259,13 +267,7 @@ def _build_optimal_pwl(values, buckets, epsilon):
     return optimal_pwl_histogram(values, buckets)
 
 
-def _oneshot(
-    method: str,
-    values,
-    buckets: int,
-    epsilon: float,
-    backend: str = "object",
-) -> Histogram:
+def _oneshot(method: str, values, buckets: int, epsilon: float) -> Histogram:
     """Run a streaming method through an ephemeral service session.
 
     The single code route behind both the registry builders and
@@ -280,7 +282,6 @@ def _oneshot(
         buckets=buckets,
         epsilon=epsilon,
         universe=universe,
-        backend=backend,
     )
     return _run_attached(method, summary, values, buckets)
 
@@ -422,12 +423,9 @@ def summarize(
         combined with ``workers`` (windowed ladder state is not
         mergeable).
     backend:
-        Maintenance kernel for the MIN-MERGE family
-        (:data:`BACKEND_METHODS`): ``"object"`` (default) keeps the
-        reference per-bucket implementation, ``"soa"`` selects the
-        structure-of-arrays kernel -- bit-identical buckets, several
-        times faster per-item ingest (see ``docs/PERF.md``).  Composes
-        with ``workers=``; other methods raise for non-default values.
+        Deprecated and ignored: the MIN-MERGE family has one maintenance
+        kernel.  ``"object"`` and ``"soa"`` are still accepted where the
+        old API accepted them (:func:`check_backend`).
 
     Returns
     -------
@@ -444,21 +442,14 @@ def summarize(
         raise InvalidParameterError("cannot summarize an empty sequence")
     if window is not None and window < 1:
         raise InvalidParameterError(f"window must be >= 1, got {window}")
-    if backend != "object" and (
-        not isinstance(method, str) or method not in BACKEND_METHODS
-    ):
-        label = method.__name__ if isinstance(method, type) else repr(method)
-        raise InvalidParameterError(
-            f"backend= is only supported for the MIN-MERGE family "
-            f"({', '.join(BACKEND_METHODS)}), not {label}"
-        )
+    check_backend(backend, method)
     if workers is not None and workers != 1:
         if window is not None:
             raise InvalidParameterError(
                 "window= cannot be combined with workers=: sliding-window "
                 "ladder state is not mergeable across shards"
             )
-        hist = _summarize_workers(values, buckets, method, workers, backend)
+        hist = _summarize_workers(values, buckets, method, workers)
         return hist.with_meta(
             HistogramMeta(
                 method=method if isinstance(method, str) else method.__name__,
@@ -514,13 +505,7 @@ def summarize(
             f"unknown method {method!r}; known methods "
             f"(see repro.api.methods()):\n{_method_lines()}"
         )
-    if backend != "object":
-        # Backend-capable methods all route through _oneshot; calling it
-        # directly threads the kernel choice without widening the builder
-        # signature shared by every registry entry.
-        hist = _oneshot(method, values, buckets, epsilon, backend)
-    else:
-        hist = builder(values, buckets, epsilon)
+    hist = builder(values, buckets, epsilon)
     if hist.meta is not None:
         return hist
     return hist.with_meta(
@@ -537,9 +522,7 @@ def summarize(
     )
 
 
-def _summarize_workers(
-    values, buckets: int, method, workers, backend: str = "object"
-) -> Histogram:
+def _summarize_workers(values, buckets: int, method, workers) -> Histogram:
     """Dispatch ``summarize(..., workers=)`` to the parallel executor."""
     if not isinstance(method, str) or method not in PARALLEL_METHODS:
         label = method.__name__ if isinstance(method, type) else repr(method)
@@ -554,9 +537,7 @@ def _summarize_workers(
     # aggregation layer, which plain serial summarize() never needs.
     from repro.parallel import ParallelSummarizer
 
-    summarizer = ParallelSummarizer(
-        method, buckets=buckets, workers=workers, summary_backend=backend
-    )
+    summarizer = ParallelSummarizer(method, buckets=buckets, workers=workers)
     return summarizer.summarize(values).histogram()
 
 

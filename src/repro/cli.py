@@ -231,10 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="registry method to drive (default: min-merge)",
     )
     scenario_run.add_argument(
-        "--backend", default="object", choices=("object", "soa"),
-        help="summary backend (soa requires a merge-capable method)",
-    )
-    scenario_run.add_argument(
         "--workers", type=int, default=None,
         help="shard ingest across N workers (merge-capable methods only)",
     )
@@ -628,7 +624,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         spec,
         args.method,
         target=args.target,
-        backend=args.backend,
         workers=args.workers,
     )
     conformance = None
@@ -644,7 +639,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         f"scenario    : {spec.name} ({report.items:,} items, "
         f"{len(report.streams)} stream(s))",
         f"method      : {args.method} (B={spec.buckets}, "
-        f"backend={args.backend}, target={args.target}"
+        f"target={args.target}"
         + (f", workers={args.workers}" if args.workers else "")
         + (f", window={spec.window}" if spec.window else "")
         + ")",

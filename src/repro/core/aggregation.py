@@ -87,9 +87,6 @@ def merge_min_merge_summaries(
     merged = MinMergeHistogram(
         buckets=buckets,
         metrics=_combined_metrics_arg(summaries, metrics),
-        # The merged summary inherits the first child's maintenance kernel
-        # so a parallel run stays on the backend the caller selected.
-        backend=getattr(summaries[0], "backend", "object"),
     )
     offset = 0
     expected_next = None
@@ -135,7 +132,6 @@ def merge_pwl_summaries(
         buckets=buckets,
         hull_epsilon=hull_epsilon,
         metrics=_combined_metrics_arg(summaries, metrics),
-        backend=getattr(summaries[0], "backend", "object"),
     )
     offset = 0
     expected_next = None

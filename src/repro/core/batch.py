@@ -170,33 +170,21 @@ def greedy_chunk(
     open_: Optional[Bucket],
     closed_append,
     target: float,
-    *,
-    stop_after: Optional[int] = None,
-    bucket_count: int = 0,
 ) -> tuple[Optional[Bucket], int]:
     """Replay GREEDY-INSERT over ``arr`` with vectorized run absorption.
 
     ``base`` is the absolute stream index of ``arr[0]``; ``open_`` is the
     summary's current open bucket (or ``None``) and ``closed_append``
-    receives each bucket the greedy closes.  Returns ``(open, consumed)``.
-
-    ``stop_after`` implements MIN-INCREMENT's early exit: once the summary
-    holds more than that many buckets it is dead (Lemma 2) and will be
-    discarded, so the remaining items are unobservable and processing may
-    stop -- ``consumed`` is then less than ``len(arr)``.  ``bucket_count``
-    must be the summary's bucket count on entry when ``stop_after`` is
-    used.
+    receives each bucket the greedy closes.  Returns ``(open, consumed)``;
+    every item is consumed.
     """
     n = len(arr)
     i = 0
     short = 0
     block = _DEGRADE_BLOCK
     while i < n:
-        if stop_after is not None and bucket_count > stop_after:
-            break
         if open_ is None:
             open_ = Bucket.singleton(base + i, arr[i].item())
-            bucket_count += 1
             i += 1
             continue
         if short >= _DEGRADE_AFTER:
@@ -214,10 +202,6 @@ def greedy_chunk(
                 else:
                     closed_append(open_)
                     open_ = Bucket.singleton(base + i, v)
-                    bucket_count += 1
-                    if stop_after is not None and bucket_count > stop_after:
-                        i += 1
-                        break
                 i += 1
             continue
         j, lo, hi = absorbable_prefix(arr, arr, i, open_.min, open_.max, target)
@@ -233,7 +217,6 @@ def greedy_chunk(
         if j < n:
             closed_append(open_)
             open_ = Bucket.singleton(base + j, arr[j].item())
-            bucket_count += 1
             i = j + 1
     return open_, i
 

@@ -88,7 +88,7 @@ class ErrorLadder(Sequence):
         This is the ``e_j`` of inequality 2: for any achievable optimal
         error, the returned level is within a ``(1 + eps)`` factor of it.
         """
-        if error < 0:
+        if not error >= 0:
             raise InvalidParameterError(f"error must be >= 0, got {error}")
         for level in self._levels:
             if level >= error:

@@ -45,7 +45,7 @@ class GreedyInsertSummary:
         start_index: int = 0,
         memory_model: MemoryModel = DEFAULT_MODEL,
     ):
-        if target_error < 0:
+        if not target_error >= 0:
             raise InvalidParameterError(
                 f"target_error must be >= 0, got {target_error}"
             )

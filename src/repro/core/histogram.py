@@ -143,7 +143,7 @@ class Histogram:
                     f"segments [{prev.beg},{prev.end}] and "
                     f"[{cur.beg},{cur.end}] are not contiguous"
                 )
-        if error < 0:
+        if not error >= 0:
             raise InvalidParameterError(f"error must be non-negative, got {error}")
         self._segments = segs
         self._error = float(error)

@@ -7,9 +7,10 @@ resulting 2B-bucket histogram has error at most that of the *optimal*
 B-bucket histogram -- a (1, 2)-approximation -- using O(B) memory and
 O(log B) time per item.
 
-FINDMIN is implemented exactly as Section 2.1.1 prescribes: an addressable
-min-heap holds one key per adjacent pair (the error of merging that pair);
-a merge removes up to three keys and inserts up to two.
+FINDMIN follows Section 2.1.1: a min-heap holds one key per adjacent pair
+(the error of merging that pair).  The maintenance loop runs on the
+structure-of-arrays kernel in :mod:`repro.core.soa`, whose heap is the C
+``heapq`` with lazy deletion (:mod:`repro.core.soa_heap`).
 
 The analysis rests on the *min-merge property*: at all times, merging any
 two adjacent buckets would produce error at least ``err(S)``.
@@ -19,11 +20,8 @@ is exercised by the property-based tests.
 
 from __future__ import annotations
 
-from math import inf
 from time import perf_counter
 from typing import Iterable, Optional
-
-import numpy as np
 
 from repro.core.batch import MAX_WINDOW, as_batch_array
 from repro.core.bucket import Bucket
@@ -32,8 +30,6 @@ from repro.core.soa import SoaMinMerge
 from repro.exceptions import EmptySummaryError, InvalidParameterError
 from repro.memory.model import DEFAULT_MODEL, MemoryModel
 from repro.observability.hooks import SummaryMetrics, resolve_metrics
-from repro.structures.heap import AddressableMinHeap
-from repro.structures.linked_list import BucketList, BucketNode
 
 
 class MinMergeHistogram:
@@ -49,26 +45,12 @@ class MinMergeHistogram:
         Override for the working budget (defaults to ``2 * buckets``).
         Exposed for the ablation benchmarks; values below ``2 * buckets``
         void the (1, 2) guarantee.
-    findmin:
-        ``"heap"`` (default) uses the addressable min-heap of
-        Section 2.1.1 for O(log B) updates; ``"linear"`` scans the bucket
-        list in O(B) per item -- the variant the paper's own experiments
-        ran (footnote 4).  Results are identical; only speed and the heap's
-        O(B) extra words differ.
     memory_model:
         Cost model used by :meth:`memory_bytes`.
     metrics:
         Opt-in instrumentation: ``True`` for a private registry, or a
         shared :class:`~repro.observability.MetricsRegistry`; default off
         (see ``docs/OBSERVABILITY.md``).
-    backend:
-        ``"object"`` (default) keeps the linked ``Bucket`` nodes and the
-        addressable heap of the original implementation; ``"soa"`` runs
-        the same algorithm on the structure-of-arrays kernel
-        (:mod:`repro.core.soa`) -- flat columns plus a lazy-deletion C
-        heap, several times faster per item and bit-identical in every
-        observable (buckets, error, histogram, checkpoints, merges).
-        ``"soa"`` requires ``findmin="heap"``.
 
     Examples
     --------
@@ -85,10 +67,8 @@ class MinMergeHistogram:
         buckets: int,
         *,
         working_buckets: Optional[int] = None,
-        findmin: str = "heap",
         memory_model: MemoryModel = DEFAULT_MODEL,
         metrics=None,
-        backend: str = "object",
     ):
         if buckets < 1:
             raise InvalidParameterError(f"buckets must be >= 1, got {buckets}")
@@ -98,98 +78,43 @@ class MinMergeHistogram:
             raise InvalidParameterError(
                 f"working_buckets must be >= 1, got {working_buckets}"
             )
-        if findmin not in ("heap", "linear"):
-            raise InvalidParameterError(
-                f"findmin must be 'heap' or 'linear', got {findmin!r}"
-            )
-        if backend not in ("object", "soa"):
-            raise InvalidParameterError(
-                f"backend must be 'object' or 'soa', got {backend!r}"
-            )
-        if backend == "soa" and findmin != "heap":
-            raise InvalidParameterError(
-                "backend='soa' implements FINDMIN with its lazy heap; "
-                "combine findmin='linear' with backend='object'"
-            )
         self.target_buckets = buckets
         self.working_buckets = working_buckets
-        self.findmin = findmin
-        self.backend = backend
         self._model = memory_model
-        # _soa must exist before the first ``self._n`` assignment: the
-        # items-seen counter is a property that forwards into the kernel.
-        self._soa = SoaMinMerge(working_buckets) if backend == "soa" else None
-        self._list = BucketList()
-        self._heap = AddressableMinHeap()
-        self._n = 0
+        self._soa = SoaMinMerge(working_buckets)
         self._metrics = resolve_metrics(metrics)
         if self._metrics is not None:
             self._metrics.bind_gauges(self)
-            # Route ingestion through the instrumented twin.  Binding on
-            # the instance keeps the uninstrumented insert() below exactly
-            # the seed implementation -- zero overhead when disabled.
+            # Route ingestion through the instrumented twin, bound on the
+            # instance so the uninstrumented path pays nothing for it.
             self.insert = self._insert_observed
-        elif self._soa is not None:
-            # Uninstrumented SoA ingest skips the facade frame entirely:
-            # the kernel's insert is the whole per-item path.
+        else:
+            # Uninstrumented ingest skips the facade frame entirely: the
+            # kernel's insert is the whole per-item path.
             self.insert = self._soa.insert
 
-    # ``_n`` (items seen) lives inside the kernel under backend="soa" so
-    # the hot loops touch a single counter; external collaborators (the
-    # parallel shard builder, checkpoint restore) assign ``summary._n``
-    # directly, so the facade forwards both directions.
+    # Items seen live inside the kernel so the hot loops touch a single
+    # counter; the parallel shard builder and checkpoint restore assign
+    # ``summary._n`` directly, so the facade forwards both directions.
     @property
     def _n(self) -> int:
-        soa = self._soa
-        return soa.n if soa is not None else self.__count
+        return self._soa.n
 
     @_n.setter
     def _n(self, value: int) -> None:
-        soa = self._soa
-        if soa is not None:
-            soa.n = value
-        else:
-            self.__count = value
+        self._soa.n = value
 
     # -- stream ingestion --------------------------------------------------
 
     def insert(self, value) -> None:
         """Process the next stream value (Algorithm 1)."""
-        soa = self._soa
-        if soa is not None:
-            soa.insert(value)
-            return
-        node = self._list.append(Bucket.singleton(self._n, value))
-        prev = node.prev
-        if prev is not None and self.findmin == "heap":
-            self._push_pair_key(prev)
-        if len(self._list) > self.working_buckets:
-            if self.findmin == "heap":
-                self._merge_min_pair()
-            else:
-                self._merge_min_pair_linear()
-        self._n += 1
+        self._soa.insert(value)
 
     def _insert_observed(self, value) -> None:
         """Instrumented twin of :meth:`insert` (same algorithm + hooks)."""
         start = perf_counter()
-        soa = self._soa
-        if soa is not None:
-            if soa.insert(value):
-                self._metrics.on_merge()
-            self._metrics.on_insert(latency=perf_counter() - start)
-            return
-        node = self._list.append(Bucket.singleton(self._n, value))
-        prev = node.prev
-        if prev is not None and self.findmin == "heap":
-            self._push_pair_key(prev)
-        if len(self._list) > self.working_buckets:
-            if self.findmin == "heap":
-                self._merge_min_pair()
-            else:
-                self._merge_min_pair_linear()
+        if self._soa.insert(value):
             self._metrics.on_merge()
-        self._n += 1
         self._metrics.on_insert(latency=perf_counter() - start)
 
     def extend(self, values: Iterable) -> None:
@@ -213,8 +138,7 @@ class MinMergeHistogram:
             return
         observe = self._metrics is not None
         start = perf_counter() if observe else 0.0
-        soa = self._soa
-        chunk = soa.extend_chunk if soa is not None else self._extend_chunk
+        chunk = self._soa.extend_chunk
         merges = 0
         for off in range(0, n, MAX_WINDOW):
             merges += chunk(arr[off : off + MAX_WINDOW])
@@ -234,155 +158,7 @@ class MinMergeHistogram:
         untouched pair -- leaving the summary exactly as if each value had
         been inserted.  Returns False (summary untouched) otherwise.
         """
-        soa = self._soa
-        if soa is not None:
-            return soa.insert_run(beg, end, lo, hi)
-        if beg != self._n:
-            raise InvalidParameterError(
-                f"run starts at {beg}, summary expects {self._n}"
-            )
-        if end < beg or lo > hi:
-            raise InvalidParameterError(
-                f"invalid run [{beg}, {end}] with bounds [{lo}, {hi}]"
-            )
-        lst = self._list
-        count = end - beg + 1
-        if self.working_buckets == 1 and len(lst) == 1:
-            lst.head.bucket.insert_run(beg, end, lo, hi)
-            self._n += count
-            return True
-        if len(lst) != self.working_buckets or self.working_buckets < 2:
-            return False
-        tail = lst.tail
-        prev = tail.prev
-        tb = tail.bucket
-        new_lo = lo if lo < tb.min else tb.min
-        new_hi = hi if hi > tb.max else tb.max
-        run_key = (new_hi - new_lo) / 2.0
-        pair_key, static_min = self._tail_pair_keys()
-        # Per-item keys only grow toward run_key, and the (prev, tail) key
-        # only grows from pair_key, so this one check certifies every step.
-        if not (run_key < pair_key and run_key < static_min):
-            return False
-        tb.insert_run(beg, end, lo, hi)
-        if self.findmin == "heap":
-            self._update_pair_key(prev)
-        self._n += count
-        return True
-
-    def _tail_pair_keys(self) -> tuple:
-        """``(pair_key, static_min)`` for the steady-state fast path.
-
-        ``pair_key`` is the current merge error of (prev, tail);
-        ``static_min`` is the cheapest merge among all *other* adjacent
-        pairs -- the keys a tail absorption run cannot change.
-        """
-        tail = self._list.tail
-        prev = tail.prev
-        if self.findmin == "heap":
-            heap = self._heap
-            handle = prev.pair_handle
-            pair_key = heap.key_of(handle)[0]
-            if heap.peek_min_handle() != handle:
-                static_min = heap._keys[0][0]
-            else:
-                slot = heap._slot_of[handle]
-                static_min = inf
-                for s, key in enumerate(heap._keys):
-                    if s != slot and key[0] < static_min:
-                        static_min = key[0]
-            return pair_key, static_min
-        pair_key = prev.bucket.merge_error_with(tail.bucket)
-        static_min = inf
-        node = self._list.head
-        while node.next is not None:
-            if node is not prev:
-                key = node.bucket.merge_error_with(node.next.bucket)
-                if key < static_min:
-                    static_min = key
-            node = node.next
-        return pair_key, static_min
-
-    def _extend_chunk(self, arr) -> int:
-        """Batch-ingest one chunk; returns the number of merges performed."""
-        insert = MinMergeHistogram.insert  # plain scalar path, never the
-        # instrumented twin: the caller aggregates the batch's events.
-        lst = self._list
-        cap = self.working_buckets
-        n = len(arr)
-        i = 0
-        while i < n and len(lst) < cap:
-            insert(self, arr[i].item())
-            i += 1
-        if i == n:
-            return 0
-        merges = 0
-        if cap == 1:
-            rest = arr[i:]
-            lst.head.bucket.insert_run(
-                self._n, self._n + (n - i) - 1, rest.min().item(), rest.max().item()
-            )
-            self._n += n - i
-            return n - i
-        window = 256
-        short = 0
-        block = 64
-        while i < n:
-            if short >= 8:
-                # Sticky scalar fallback: the block grows each time the
-                # vectorized probe fails again, so rough streams converge
-                # to plain scalar speed (values unboxed once via tolist).
-                short = 0
-                stop = min(n, i + block)
-                if block < MAX_WINDOW:
-                    block *= 8
-                for v in arr[i:stop].tolist():
-                    insert(self, v)
-                merges += stop - i
-                i = stop
-                if i == n:
-                    break
-            tail = lst.tail
-            prev = tail.prev
-            tb = tail.bucket
-            pb = prev.bucket
-            pair_key, static_min = self._tail_pair_keys()
-            seg = arr[i : i + window]
-            ehi = np.maximum(np.maximum.accumulate(seg), tb.max)
-            elo = np.minimum(np.minimum.accumulate(seg), tb.min)
-            key = (ehi - elo) / 2.0
-            pair = (np.maximum(ehi, pb.max) - np.minimum(elo, pb.min)) / 2.0
-            evolving = np.empty_like(pair)
-            evolving[0] = pair_key
-            evolving[1:] = pair[:-1]
-            good = (key < static_min) & (key < evolving)
-            if good.all():
-                run = len(seg)
-            else:
-                run = int(np.argmin(good))
-            if run:
-                tb.insert_run(
-                    self._n, self._n + run - 1, elo[run - 1].item(), ehi[run - 1].item()
-                )
-                self._n += run
-                merges += run
-                i += run
-                if self.findmin == "heap":
-                    self._update_pair_key(prev)
-                if run == len(seg):
-                    window = min(window * 2, MAX_WINDOW)
-                    continue
-                window = 256
-            if run < 4:
-                short += 1
-            else:
-                short = 0
-                block = 64
-            if i < n:
-                insert(self, arr[i].item())
-                merges += 1
-                i += 1
-        return merges
+        return self._soa.insert_run(beg, end, lo, hi)
 
     # -- aggregation hooks ---------------------------------------------------
 
@@ -396,26 +172,7 @@ class MinMergeHistogram:
         ``count`` (default: the covered index span).  No compaction happens
         here -- call :meth:`compact` to re-establish the working budget.
         """
-        soa = self._soa
-        if soa is not None:
-            soa.adopt_buckets(buckets, count)
-            return
-        last = self._list.tail.bucket.end if len(self._list) else None
-        span = 0
-        for bucket in buckets:
-            if last is not None and bucket.beg <= last:
-                raise InvalidParameterError(
-                    f"adopted bucket [{bucket.beg}, {bucket.end}] does not "
-                    f"follow the current tail (last covered index {last})"
-                )
-            last = bucket.end
-            span += bucket.end - bucket.beg + 1
-            node = self._list.append(
-                Bucket(bucket.beg, bucket.end, bucket.min, bucket.max)
-            )
-            if node.prev is not None and self.findmin == "heap":
-                self._push_pair_key(node.prev)
-        self._n += span if count is None else count
+        self._soa.adopt_buckets(buckets, count)
 
     def compact(self) -> int:
         """Merge cheapest adjacent pairs until the working budget holds.
@@ -423,24 +180,14 @@ class MinMergeHistogram:
         Returns the number of merges performed.  A no-op on summaries
         already within ``working_buckets``.
         """
-        soa = self._soa
-        if soa is not None:
-            return soa.compact()
-        merges = 0
-        while len(self._list) > self.working_buckets:
-            if self.findmin == "heap":
-                self._merge_min_pair()
-            else:
-                self._merge_min_pair_linear()
-            merges += 1
-        return merges
+        return self._soa.compact()
 
     # -- queries -----------------------------------------------------------
 
     @property
     def items_seen(self) -> int:
         """Number of stream values processed so far."""
-        return self._n
+        return self._soa.n
 
     @property
     def metrics(self) -> Optional[SummaryMetrics]:
@@ -450,64 +197,39 @@ class MinMergeHistogram:
     @property
     def bucket_count(self) -> int:
         """Current number of working buckets."""
-        soa = self._soa
-        return soa.size if soa is not None else len(self._list)
+        return self._soa.size
 
     @property
     def error(self) -> float:
         """Current summary error ``err(S)`` -- the largest bucket error."""
-        soa = self._soa
-        if soa is not None:
-            if soa.size == 0:
-                raise EmptySummaryError("no values inserted yet")
-            return soa.error()
-        if not self._list:
+        if self._soa.size == 0:
             raise EmptySummaryError("no values inserted yet")
-        return max(node.bucket.error for node in self._list)
+        return self._soa.error()
 
     def buckets_snapshot(self) -> list[Bucket]:
         """Copy of the current buckets, in stream order."""
-        soa = self._soa
-        if soa is not None:
-            return soa.buckets_snapshot()
-        return [
-            Bucket(b.beg, b.end, b.min, b.max) for b in self._list.buckets()
-        ]
+        return self._soa.buckets_snapshot()
 
     def histogram(self) -> Histogram:
         """The current piecewise-constant approximation."""
         soa = self._soa
-        if soa is not None:
-            if soa.size == 0:
-                raise EmptySummaryError("no values inserted yet")
-            segments = [
-                Segment(b, e, (hi + lo) / 2.0, (hi + lo) / 2.0)
-                for b, e, lo, hi in soa.iter_buckets()
-            ]
-            return Histogram(segments, soa.error())
-        if not self._list:
+        if soa.size == 0:
             raise EmptySummaryError("no values inserted yet")
         segments = [
-            Segment(b.beg, b.end, b.representative, b.representative)
-            for b in self._list.buckets()
+            Segment(b, e, (hi + lo) / 2.0, (hi + lo) / 2.0)
+            for b, e, lo, hi in soa.iter_buckets()
         ]
-        return Histogram(segments, self.error)
+        return Histogram(segments, soa.error())
 
     def memory_bytes(self) -> int:
-        """Accounted memory: buckets plus heap entries (Section 2.1.1).
+        """Accounted memory: buckets plus one heap key per adjacent pair.
 
-        Under ``backend="soa"`` the heap term counts the lazy heap's
-        actual entries (stale included) -- the honest figure; compaction
-        bounds it at a small multiple of the pair count.
+        The Section 2.1.1 model.  The lazy heap also holds stale entries
+        until compaction (at most ``4x`` the live pairs); they are an
+        implementation cost, not part of the algorithm's space.
         """
-        soa = self._soa
-        if soa is not None:
-            return self._model.buckets(soa.size) + self._model.heap_entries(
-                len(soa.heap)
-            )
-        return self._model.buckets(len(self._list)) + self._model.heap_entries(
-            len(self._heap)
-        )
+        size = self._soa.size
+        return self._model.buckets(size) + self._model.heap_entries(max(size - 1, 0))
 
     # -- invariants (used by tests) -----------------------------------------
 
@@ -531,106 +253,3 @@ class MinMergeHistogram:
                 f"{right.end}] merges with error {pair_error} "
                 f"< err(S) = {current}"
             )
-
-    def check_heap_consistency(self) -> None:
-        """Assert every adjacent pair has a correct key in the heap (tests)."""
-        soa = self._soa
-        if soa is not None:
-            soa.check_consistency()
-            return
-        if self.findmin == "linear":
-            if len(self._heap) != 0:
-                raise AssertionError("linear FINDMIN must not populate the heap")
-            return
-        self._heap.check_invariant()
-        pairs = 0
-        for node in self._list:
-            if node.next is None:
-                if node.pair_handle is not None:
-                    raise AssertionError("tail node holds a pair handle")
-                continue
-            pairs += 1
-            if node.pair_handle is None:
-                raise AssertionError(
-                    f"pair at [{node.bucket.beg}, {node.next.bucket.end}] "
-                    "missing from heap"
-                )
-            key, tiebreak = self._heap.key_of(node.pair_handle)
-            expected = node.bucket.merge_error_with(node.next.bucket)
-            if key != expected or tiebreak != node.bucket.beg:
-                raise AssertionError(
-                    f"stale heap key {(key, tiebreak)} != merge error "
-                    f"{(expected, node.bucket.beg)}"
-                )
-        if pairs != len(self._heap):
-            raise AssertionError(
-                f"heap holds {len(self._heap)} keys for {pairs} pairs"
-            )
-
-    # -- internals -----------------------------------------------------------
-
-    def _push_pair_key(self, left: BucketNode) -> None:
-        """Insert the merge key for the pair (left, left.next).
-
-        The key is the tuple ``(merge_error, left.bucket.beg)``: the start
-        index breaks ties between equal merge errors, making FINDMIN a pure
-        function of the bucket list (leftmost cheapest pair) rather than of
-        the heap's insertion history.  Determinism matters because the
-        batched ingest path and checkpoint restore rebuild the heap in a
-        different order than item-at-a-time inserts did.
-        """
-        key = left.bucket.merge_error_with(left.next.bucket)
-        left.pair_handle = self._heap.push((key, left.bucket.beg), left)
-
-    def _update_pair_key(self, left: BucketNode) -> None:
-        """Recompute (left, left.next)'s key in place (handle preserved).
-
-        Every key is the unique tuple ``(merge_error, left.bucket.beg)``,
-        so FINDMIN is a pure function of the bucket list and in-place
-        sifting is bit-identical to the remove + push it replaces -- at
-        half the heap traffic (the steady-state ingest hot spot).
-        """
-        key = left.bucket.merge_error_with(left.next.bucket)
-        self._heap.update(left.pair_handle, (key, left.bucket.beg))
-
-    def _merge_min_pair(self) -> None:
-        """FINDMIN + MERGE: collapse the cheapest adjacent pair.
-
-        Of the up-to-three keys a merge invalidates, two are recycled in
-        place: the (left.prev, left) key is updated (same node, new
-        error), and the dying (right, right.next) entry is repointed to
-        the merged pair (left, new next) -- so a steady-state merge costs
-        one pop plus two sifts instead of three removes and two pushes.
-        """
-        heap = self._heap
-        _key, left = heap.pop_min()
-        left.pair_handle = None
-        right = left.next
-        right_handle = right.pair_handle
-        left.bucket = left.bucket.merged_with(right.bucket)
-        self._list.remove(right)
-        if left.prev is not None:
-            self._update_pair_key(left.prev)
-        if left.next is not None:
-            # ``right`` was not the tail, so its handle is live: reuse its
-            # entry for the merged bucket's right-hand pair.
-            key = left.bucket.merge_error_with(left.next.bucket)
-            heap.update(right_handle, (key, left.bucket.beg), item=left)
-            left.pair_handle = right_handle
-        elif right_handle is not None:  # pragma: no cover - defensive
-            heap.remove(right_handle)
-
-    def _merge_min_pair_linear(self) -> None:
-        """FINDMIN by O(B) scan -- the paper's footnote-4 implementation."""
-        best = None
-        best_key = None
-        for node in self._list:
-            if node.next is None:
-                break
-            key = node.bucket.merge_error_with(node.next.bucket)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = node
-        right = best.next
-        best.bucket = best.bucket.merged_with(right.bucket)
-        self._list.remove(right)

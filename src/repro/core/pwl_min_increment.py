@@ -46,7 +46,7 @@ class PwlGreedyInsertSummary:
         hull_epsilon: Optional[float] = DEFAULT_HULL_EPSILON,
         start_index: int = 0,
     ):
-        if target_error < 0:
+        if not target_error >= 0:
             raise InvalidParameterError(
                 f"target_error must be >= 0, got {target_error}"
             )

@@ -1,31 +1,31 @@
-"""Structure-of-arrays kernels behind ``backend="soa"``.
+"""Structure-of-arrays MIN-MERGE kernels (Sections 2.1 and 3.2).
 
-These kernels re-implement the MIN-MERGE maintenance loop (Section 2.1)
-over flat columns indexed by integer *slots* instead of linked
-``Bucket`` objects: ``beg``/``end``/``mn``/``mx`` hold the bucket state,
-``prv``/``nxt`` form an intrusive doubly-linked list of slots (``-1``
-terminates, ``-2`` marks a freed slot), and ``pkey`` caches each
-adjacent pair's merge error for the lazy-deletion heap in
-:mod:`repro.core.soa_heap`.  There are no per-item allocations on the
-hot path -- freed slots are recycled through a free list -- and FINDMIN
-runs on the C ``heapq`` instead of an interpreted sift.
+These kernels run the MIN-MERGE maintenance loop behind
+:class:`~repro.core.min_merge.MinMergeHistogram` and
+:class:`~repro.core.pwl_min_merge.PwlMinMergeHistogram` over flat columns
+indexed by integer *slots* instead of linked ``Bucket`` objects:
+``beg``/``end``/``mn``/``mx`` hold the bucket state, ``prv``/``nxt`` form
+an intrusive doubly-linked list of slots (``-1`` terminates, ``-2`` marks
+a freed slot), and ``pkey`` caches each adjacent pair's merge error for
+the lazy-deletion heap in :mod:`repro.core.soa_heap`.  There are no
+per-item allocations on the hot path -- freed slots are recycled through
+a free list -- and FINDMIN runs on the C ``heapq`` instead of an
+interpreted sift.
 
 The columns are plain Python lists, not numpy arrays: CPython list
 indexing costs a fraction of ndarray scalar indexing, and the scalar
-``insert()`` loop is exactly the workload this backend exists to speed
-up.  Numpy is used where it wins -- the batched ``extend`` certificate
--- and :meth:`SoaMinMerge.as_arrays` materializes the columns as
-contiguous arrays on demand: the natural FFI ABI should a native kernel
-ever slot in behind the same facade.
+``insert()`` loop is the per-item hot path.  Numpy is used where it wins
+-- the batched ``extend`` certificate -- and :meth:`SoaMinMerge.as_arrays`
+materializes the columns as contiguous arrays on demand: the natural FFI
+ABI should a native kernel ever slot in behind the same facade.
 
-Bit-identity with the object backend is a hard contract, not an
-aspiration: merge keys are the same unique ``(error, beg)`` tuples as
-``MinMergeHistogram._push_pair_key``, min/max unions replicate
-``Bucket.merged_with``'s tie-breaking comparisons operator-for-operator
-(preserving ``int`` vs ``float`` identity), and the batched-ingest
-certificate is the same strict inequality over the same accumulates.
-The cross-backend equivalence suite (``tests/test_soa.py``) asserts
-equality of full bucket states, not just errors.
+Every decision is a pure function of the bucket list: merge keys are the
+unique ``(error, beg)`` tuples (ties go to the leftmost pair), and min/max
+unions keep the left endpoint object on ties (preserving ``int`` vs
+``float`` identity).  The linked-list + addressable-heap kernels this
+layout replaced are kept as oracles in ``tests/min_merge_reference.py``,
+and ``tests/test_min_merge_reference.py`` holds these kernels to them bit
+for bit, after every operation.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ class SoaMinMerge:
         self.n = n + 1
         if size <= self.cap:
             return False
-        # -- inlined _merge_min_pair ----------------------------------------
+        # -- inlined _merge_cheapest_pair ------------------------------------
         while True:
             err, b, s = heappop(heap)
             if nxt[s] >= 0 and beg[s] == b and pkey[s] == err:
@@ -246,7 +246,7 @@ class SoaMinMerge:
             compact(heap, nxt, beg, pkey)
         return True
 
-    def _merge_min_pair(self) -> None:
+    def _merge_cheapest_pair(self) -> None:
         """FINDMIN + MERGE: collapse the cheapest (leftmost) adjacent pair."""
         heap = self.heap
         nxt = self.nxt
@@ -305,12 +305,11 @@ class SoaMinMerge:
     def extend_chunk(self, arr) -> int:
         """Batch-ingest one chunk; returns the number of merges performed.
 
-        Same certificate as ``MinMergeHistogram._extend_chunk``: a prefix
-        is absorbed into the tail iff every per-item pair key stays
-        strictly below both the evolving (prev, tail) key and the
-        cheapest untouched pair, checked with the same accumulates and
-        strict inequalities -- so the final state is bit-identical to the
-        scalar loop regardless of where the windows land.
+        A prefix is absorbed into the tail iff every per-item pair key
+        stays strictly below both the evolving (prev, tail) key and the
+        cheapest untouched pair, checked with NumPy accumulates and strict
+        inequalities -- so the final state is bit-identical to the scalar
+        loop regardless of where the windows land.
         """
         insert = self.insert
         cap = self.cap
@@ -346,7 +345,9 @@ class SoaMinMerge:
         block = 64
         while i < n:
             if short >= 8:
-                # Sticky scalar fallback, as in the object backend.
+                # Sticky scalar fallback: the block grows each time the
+                # vectorized probe fails again, so rough streams converge
+                # to plain scalar speed (values unboxed once via tolist).
                 short = 0
                 stop = min(n, i + block)
                 if block < MAX_WINDOW:
@@ -521,7 +522,7 @@ class SoaMinMerge:
         """Merge cheapest pairs until the working budget holds."""
         merges = 0
         while self.size > self.cap:
-            self._merge_min_pair()
+            self._merge_cheapest_pair()
             merges += 1
         return merges
 
@@ -615,11 +616,9 @@ class SoaMinMerge:
 class SoaPwlMinMerge:
     """Array-backed PWL MIN-MERGE kernel (Section 3.2).
 
-    Hull geometry stays in :class:`PwlBucket` (slot-indexed, so merges
-    reuse the object backend's hull math verbatim -- bit-identity for
-    free); the control structure -- slot chain, cached pair keys, lazy
-    heap -- is the same SoA layout as :class:`SoaMinMerge`, which is
-    where the object backend's per-item overhead lived.
+    Hull geometry stays in :class:`PwlBucket` (slot-indexed); the control
+    structure -- slot chain, cached pair keys, lazy heap -- is the same
+    layout as :class:`SoaMinMerge`.
     """
 
     __slots__ = (
@@ -686,11 +685,11 @@ class SoaPwlMinMerge:
         self.size += 1
         self.n = n + 1
         if self.size > self.cap:
-            self._merge_min_pair()
+            self._merge_cheapest_pair()
             return True
         return False
 
-    def _merge_min_pair(self) -> None:
+    def _merge_cheapest_pair(self) -> None:
         heap = self.heap
         nxt = self.nxt
         beg = self.beg
@@ -844,7 +843,7 @@ class SoaPwlMinMerge:
         """Merge cheapest pairs until the working budget holds."""
         merges = 0
         while self.size > self.cap:
-            self._merge_min_pair()
+            self._merge_cheapest_pair()
             merges += 1
         return merges
 

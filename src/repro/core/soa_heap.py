@@ -1,23 +1,20 @@
 """Lazy-deletion pair heap shared by the structure-of-arrays kernels.
 
-The object kernels drive FINDMIN through
-:class:`repro.structures.heap.AddressableMinHeap`, whose sift loops are
-interpreted Python -- the dominant per-item cost at steady state.  The
-SoA kernels (:mod:`repro.core.soa`) replace it with the C-implemented
-:mod:`heapq` over plain tuples plus *lazy deletion*: nothing is ever
-removed or resifted in place; key changes simply push a fresh entry and
-stale ones are discarded when they surface at the top.
+Section 2.1.1's FINDMIN heap, built on the C-implemented :mod:`heapq`
+over plain tuples plus *lazy deletion*: nothing is ever removed or
+resifted in place; key changes simply push a fresh entry and stale ones
+are discarded when they surface at the top.  An addressable heap with
+interpreted sift loops (:class:`repro.structures.heap.AddressableMinHeap`)
+costs several times more per item.
 
 Entry format
 ------------
 Every entry is the tuple ``(err, beg, slot)`` where ``slot`` indexes the
 kernel's columns, ``beg`` is that bucket's start index and ``err`` the
 merge error of the adjacent pair ``(slot, nxt[slot])`` at push time.
-The ``(err, beg)`` prefix is exactly the unique key the object backend
-feeds ``AddressableMinHeap`` (see ``MinMergeHistogram._push_pair_key``),
-so the minimum *valid* entry names the same pair the object backend's
-FINDMIN returns -- the leftmost cheapest -- which is what makes the two
-backends bit-identical.
+The ``(err, beg)`` prefix is a unique key, so the minimum *valid* entry
+names the leftmost cheapest pair: FINDMIN is a pure function of the
+bucket list, independent of the heap's push history.
 
 Validity rule
 -------------
@@ -80,8 +77,7 @@ def static_min_excluding(
 ) -> float:
     """Minimum current pair key over every pair except ``(excl, nxt[excl])``.
 
-    The SoA analogue of ``MinMergeHistogram._tail_pair_keys``'s scan:
-    the batched ingest certificate needs the cheapest merge among the
+    The batched ingest certificate needs the cheapest merge among the
     pairs a tail absorption run cannot change.  Current entries for the
     excluded slot are popped aside and pushed back; stale entries are
     dropped for good.  Returns ``inf`` when no other pair exists.

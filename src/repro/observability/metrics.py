@@ -123,9 +123,8 @@ class LatencyRecorder:
         from repro.core.min_merge import MinMergeHistogram
 
         # The recorder's own summary is never instrumented (that way lies
-        # infinite regress); "linear" FINDMIN keeps its footprint at the
-        # bare 2B buckets with no heap.
-        self._timeline = MinMergeHistogram(buckets=buckets, findmin="linear")
+        # infinite regress).
+        self._timeline = MinMergeHistogram(buckets=buckets)
 
     def record(self, seconds: float) -> None:
         """Record one operation latency (in seconds)."""
@@ -184,9 +183,7 @@ class LatencyRecorder:
         self.max = 0.0
         from repro.core.min_merge import MinMergeHistogram
 
-        self._timeline = MinMergeHistogram(
-            buckets=self._timeline.target_buckets, findmin="linear"
-        )
+        self._timeline = MinMergeHistogram(buckets=self._timeline.target_buckets)
 
     def snapshot(self) -> dict:
         """Plain-data summary of the recorded latencies (microseconds)."""

@@ -36,7 +36,7 @@ def min_buckets_for_error(values: Sequence, error: float) -> int:
     One greedy left-to-right scan (Lemma 2 proves greedy is optimal).
     Returns 0 for an empty sequence.
     """
-    if error < 0:
+    if not error >= 0:
         raise InvalidParameterError(f"error must be >= 0, got {error}")
     n = len(values)
     if n == 0:

@@ -26,7 +26,7 @@ from repro.exceptions import InvalidParameterError
 
 def min_pwl_buckets_for_error(values: Sequence, error: float) -> int:
     """Minimum PWL buckets covering ``values`` within line-fit ``error``."""
-    if error < 0:
+    if not error >= 0:
         raise InvalidParameterError(f"error must be >= 0, got {error}")
     n = len(values)
     if n == 0:

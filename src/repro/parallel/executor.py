@@ -98,13 +98,18 @@ MERGEABLE_METHODS = ("min-merge", "pwl-min-merge")
 
 #: Per-method "auto" sizing cut-off: a shard below this many items cannot
 #: amortize worker dispatch, so auto sizing stays serial / uses fewer
-#: workers.  MIN-MERGE's vectorized batch path runs at several M items/s,
-#: so its shards must be large; exact-hull PWL ingests orders of magnitude
-#: fewer items/s and profits from parallelism much earlier.
-_AUTO_CUTOFF = {"min-merge": 250_000, "pwl-min-merge": 8_192}
+#: workers.  MIN-MERGE's vectorized batch path ingests 1e6 items in under
+#: 0.1 s, so a two-process pool only pays off from 4e6 items (2 x 2e6): on
+#: a 2-vCPU host it beat serial extend() in 9 of 10 runs at 4e6 items,
+#: and in at most 1 of 10 at 2.5e5 and 1e6.  Exact-hull PWL ingests
+#: orders of magnitude fewer items/s and profits from parallelism much
+#: earlier.
+_AUTO_CUTOFF = {"min-merge": 2_000_000, "pwl-min-merge": 8_192}
 
 #: Minimum shard size for the process backend to be chosen automatically
-#: (below it, fork + IPC overhead beats the parallel win).
+#: (below it, fork + IPC overhead beats the parallel win).  For MIN-MERGE
+#: the thread pool loses to the process pool at every measured size (the
+#: batch kernel holds the GIL): 1.6-2.3x slower at 2.5e5-4e6 items.
 _PROCESS_MIN_SHARD = {"min-merge": 100_000, "pwl-min-merge": 4_096}
 
 #: Module global published immediately before a fork-context pool is
@@ -191,9 +196,7 @@ def _make_summary(spec: dict, metrics, start: int):
         summary = MinMergeHistogram(
             buckets=spec["buckets"],
             working_buckets=spec["working_buckets"],
-            findmin=spec["findmin"],
             metrics=metrics,
-            backend=spec.get("backend", "object"),
         )
     else:
         summary = PwlMinMergeHistogram(
@@ -201,7 +204,6 @@ def _make_summary(spec: dict, metrics, start: int):
             working_buckets=spec["working_buckets"],
             hull_epsilon=spec["hull_epsilon"],
             metrics=metrics,
-            backend=spec.get("backend", "object"),
         )
     # Shards share the stream's global index space, so the merge operator
     # can verify contiguity instead of being told to reindex.
@@ -294,11 +296,9 @@ class ParallelSummarizer:
         Merge-tree fan-in (default 2 = pairwise log-depth).  Larger arity
         trades tree depth for per-node reduction width; ``arity >= P``
         degenerates to one flat fold.
-    working_buckets, hull_epsilon, findmin, summary_backend:
-        Forwarded to the shard summaries (``hull_epsilon``/``findmin``
-        apply to their family only; ``summary_backend`` selects the
-        maintenance kernel, ``"object"`` or ``"soa"`` -- not to be
-        confused with ``backend``, which schedules the pool).
+    working_buckets, hull_epsilon:
+        Forwarded to the shard summaries (``hull_epsilon`` applies to
+        ``"pwl-min-merge"`` only).
     serial_cutoff:
         Items per worker below which ``"auto"`` stays serial; defaults to
         a per-method profile (:data:`_AUTO_CUTOFF`).
@@ -337,8 +337,6 @@ class ParallelSummarizer:
         arity: int = 2,
         working_buckets: Optional[int] = None,
         hull_epsilon: Optional[float] = DEFAULT_HULL_EPSILON,
-        findmin: str = "heap",
-        summary_backend: str = "object",
         serial_cutoff: Optional[int] = None,
         metrics=None,
         max_shard_retries: int = 2,
@@ -394,8 +392,6 @@ class ParallelSummarizer:
             "buckets": buckets,
             "working_buckets": working_buckets,
             "hull_epsilon": hull_epsilon,
-            "findmin": findmin,
-            "backend": summary_backend,
             "instrument": False,
         }
         # Validate the configuration eagerly, like StreamFleet does.

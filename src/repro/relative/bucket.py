@@ -161,7 +161,7 @@ def min_relative_buckets_for_error(values, error: float, *, sanity: float = 1.0)
     One greedy scan; exactly optimal by the Lemma 2 argument (the bucket
     error is monotone under extension).
     """
-    if error < 0:
+    if not error >= 0:
         raise InvalidParameterError(f"error must be >= 0, got {error}")
     if len(values) == 0:
         return 0

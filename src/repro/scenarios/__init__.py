@@ -3,9 +3,8 @@
 ``repro.scenarios`` turns a YAML document into a fully deterministic
 workload -- arrival pattern, value process (with drift / regime
 switches), ordering perturbations, multi-tenant hot/cold mix, and an
-optional fault schedule -- and runs it against any registry method (both
-summary backends, optionally sharded across workers) or against the
-live service, reporting realized error against the offline-optimal
+optional fault schedule -- and runs it against any registry method
+(optionally sharded across workers) or against the live service, reporting realized error against the offline-optimal
 oracle alongside memory / throughput / latency percentiles.
 
 Typical use::
@@ -23,7 +22,7 @@ and from the command line::
 
 The differential conformance matrix (:func:`check_conformance`) is the
 standing correctness harness: every bundled scenario must produce
-bit-identical buckets across serial/batched/SoA/parallel ingest paths
+bit-identical buckets across serial/batched/parallel ingest paths
 and bounded error against the exact DP oracle.
 """
 

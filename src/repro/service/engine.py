@@ -46,7 +46,7 @@ import zlib
 from collections import deque
 from typing import Optional, Sequence
 
-from repro.api import DEFAULT_UNIVERSE, build_summary, streaming_methods
+from repro.api import DEFAULT_UNIVERSE, build_summary, check_backend, streaming_methods
 from repro.core.batch import coerce_batch
 from repro.core.histogram import Histogram, HistogramMeta
 from repro.exceptions import (
@@ -86,7 +86,6 @@ class _Tenant:
         "epsilon",
         "universe",
         "window",
-        "backend",
         "summary",
         "lock",
         "qlock",
@@ -117,7 +116,6 @@ class _Tenant:
         self.epsilon = getattr(summary, "epsilon", None)
         self.universe = getattr(summary, "universe", None)
         self.window = getattr(summary, "window", None)
-        self.backend = getattr(summary, "backend", "object")
         self.summary = summary
         # ``lock`` guards the summary + store (apply vs query); ``qlock``
         # guards the write queue bookkeeping and is never held across an
@@ -157,7 +155,6 @@ class _Tenant:
             "epsilon": self.epsilon,
             "universe": self.universe,
             "window": self.window,
-            "backend": self.backend,
         }
 
 
@@ -320,11 +317,10 @@ class StreamEngine:
         Creation is idempotent: calling again with the same id returns a
         handle on the existing stream, but a conflicting ``method`` (or
         ``window``) raises rather than silently serving different math
-        than the caller asked for.  ``backend`` selects the maintenance
-        kernel for the MIN-MERGE family (``"object"`` | ``"soa"``, see
-        ``docs/PERF.md``); it changes no math, so it is not part of the
-        conflict check.
+        than the caller asked for.  ``backend`` is deprecated and ignored
+        (validated by :func:`~repro.api.check_backend`).
         """
+        check_backend(backend, method)
         from repro.service.session import StreamHandle
 
         tenant = self._tenants.get(stream_id)
@@ -339,7 +335,6 @@ class StreamEngine:
                         epsilon=epsilon,
                         universe=universe,
                         window=window,
-                        backend=backend,
                     )
                     self._tenants[stream_id] = tenant
                     return StreamHandle(self, tenant)
@@ -400,7 +395,6 @@ class StreamEngine:
         epsilon,
         universe,
         window,
-        backend="object",
     ) -> _Tenant:
         self._check_open()
         if method not in streaming_methods():
@@ -421,7 +415,6 @@ class StreamEngine:
             universe=universe if universe is not None else DEFAULT_UNIVERSE,
             window=window,
             metrics=metrics,
-            backend=backend,
         )
         if metrics is not None:
             metrics.bind_gauges(summary)
@@ -488,7 +481,6 @@ class StreamEngine:
                 epsilon=m["epsilon"],
                 universe=m["universe"],
                 window=m["window"],
-                backend=m.get("backend", "object"),
             )
 
         tenant = _Tenant(stream_id, manifest["method"], factory())
@@ -498,9 +490,6 @@ class StreamEngine:
         tenant.epsilon = manifest["epsilon"]
         tenant.universe = manifest["universe"]
         tenant.window = manifest["window"]
-        # The restored checkpoint is authoritative for the kernel (old
-        # checkpoints predate the manifest field).
-        tenant.backend = getattr(tenant.summary, "backend", "object")
         tenant.recovered = True
         if metrics is not None:
             metrics.bind_gauges(tenant.summary)
@@ -820,7 +809,6 @@ class StreamEngine:
             "epsilon": tenant.epsilon,
             "universe": tenant.universe,
             "window": tenant.window,
-            "backend": tenant.backend,
             "items_seen": items,
             "pending_items": pending,
             "memory_bytes": memory,

@@ -2,8 +2,9 @@
 
 Algorithm 2 as written -- every value goes into every surviving
 GREEDY-INSERT level, and a level that outgrows ``B`` buckets is dropped --
-plus the per-level vectorized ``extend`` (one :func:`greedy_chunk` pass per
-level, stopping a level once it is dead).  The certified ladder of
+plus the per-level ``extend``: the last level takes one vectorized
+:func:`greedy_chunk` pass, every other level runs :func:`greedy_until_dead`,
+which stops feeding it once it is dead.  The certified ladder of
 :class:`repro.core.min_increment.MinIncrementHistogram` must match it bit
 for bit: same levels, same buckets, same reads.
 """
@@ -13,11 +14,27 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.checkpoint import _greedy_state
-from repro.core.batch import MAX_WINDOW, as_batch_array, greedy_chunk
+from repro.core.batch import MAX_WINDOW, as_batch_array
 from repro.core.error_ladder import ErrorLadder
 from repro.core.greedy_insert import GreedyInsertSummary
 from repro.exceptions import DomainError
 from repro.memory.model import DEFAULT_MODEL
+
+
+def greedy_until_dead(summary: GreedyInsertSummary, values, limit: int) -> int:
+    """GREEDY-INSERT ``values`` until ``summary`` holds over ``limit`` buckets.
+
+    MIN-INCREMENT's early exit: such a level is dead (Lemma 2) and will be
+    discarded, so the rest of the chunk is unobservable.  Returns the
+    number of values consumed.
+    """
+    consumed = 0
+    for value in values:
+        if summary.bucket_count > limit:
+            break
+        summary.insert(value)
+        consumed += 1
+    return consumed
 
 
 class ReferenceMinIncrement:
@@ -74,18 +91,13 @@ class ReferenceMinIncrement:
         limit = self.target_buckets
         last = self._summaries[-1]
         survivors = []
+        values = arr.tolist()
         for summary in self._summaries:
             is_last = summary is last
-            summary._open, consumed = greedy_chunk(
-                arr,
-                summary._next_index,
-                summary._open,
-                summary._closed.append,
-                summary.target_error,
-                stop_after=None if is_last else limit,
-                bucket_count=summary.bucket_count,
-            )
-            summary._next_index += consumed
+            if is_last:
+                summary.extend(arr)
+            else:
+                greedy_until_dead(summary, values, limit)
             if summary.bucket_count <= limit or is_last:
                 survivors.append(summary)
         self._summaries = survivors

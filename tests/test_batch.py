@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import checkpoint
-from repro.core.batch import absorbable_prefix, as_batch_array, greedy_chunk
+from repro.core.batch import absorbable_prefix, as_batch_array
 from repro.core.bucket import Bucket
 from repro.core.min_increment import MinIncrementHistogram
 from repro.core.min_merge import MinMergeHistogram
@@ -108,7 +108,7 @@ class TestEquivalenceAllAlgorithms:
     def test_min_merge_heap_stays_consistent_after_batch(self):
         summary = MinMergeHistogram(buckets=5)
         summary.extend(stream(6))
-        summary.check_heap_consistency()
+        summary._soa.check_consistency()
         summary.check_min_merge_property()
 
     def test_float_streams(self):
@@ -146,7 +146,7 @@ class TestMidBatchCheckpoint:
             restored.insert(v)
         summary.extend(data[450:])
         assert state_of(summary) == state_of(restored)
-        restored.check_heap_consistency()
+        restored._soa.check_consistency()
 
 
 class TestInsertRun:
@@ -166,7 +166,7 @@ class TestInsertRun:
             summary.insert(v)
         assert summary.insert_run(6, 9, 50, 50)
         assert summary.items_seen == 10
-        summary.check_heap_consistency()
+        summary._soa.check_consistency()
 
 
 class TestKernels:
@@ -197,15 +197,6 @@ class TestKernels:
             slo, shi = nlo, nhi
             k += 1
         assert (j, lo, hi) == (k, slo, shi)
-
-    def test_greedy_chunk_stop_after_consumes_partially(self):
-        arr = np.array([0, 100, 0, 100, 0, 100, 0, 100])
-        closed = []
-        open_, consumed = greedy_chunk(
-            arr, 0, None, closed.append, 1.0, stop_after=2, bucket_count=0
-        )
-        assert consumed < len(arr)
-        assert len(closed) + 1 > 2
 
 
 class TestObservabilityBatching:

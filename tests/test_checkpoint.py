@@ -18,6 +18,12 @@ from repro.exceptions import InvalidParameterError, UnsupportedCheckpointError
 UNIVERSE = 512
 streams = st.lists(st.integers(0, UNIVERSE - 1), min_size=1, max_size=150)
 
+#: MIN-MERGE checkpoints written while the object kernel, ``backend=`` and
+#: ``findmin=`` still existed (see tests/test_min_merge_reference.py).
+PARENT_MIN_MERGE = json.loads(
+    (Path(__file__).parent / "data" / "min_merge_parent_checkpoints.json").read_text()
+)
+
 #: MIN-INCREMENT checkpoints written by the Section 2.2.2 buffered variant
 #: (``batch_size`` 1, 7 and ``"auto"``) before it was removed, each taken
 #: 103 values into ``stream``, after 20 of the 34 ladder levels had died.
@@ -84,7 +90,7 @@ class TestMinMerge:
         summary.extend(values)
         resumed = restore(state_dict(summary))
         assert _snapshot(resumed) == _snapshot(summary)
-        resumed.check_heap_consistency()
+        resumed._soa.check_consistency()
 
     @given(streams, streams)
     def test_restore_then_continue_keeps_guarantees(self, prefix, suffix):
@@ -109,18 +115,21 @@ class TestMinMerge:
         assert resumed.items_seen == continuous.items_seen
         assert resumed.bucket_count == continuous.bucket_count
         assert resumed.memory_bytes() == continuous.memory_bytes()
-        resumed.check_heap_consistency()
+        resumed._soa.check_consistency()
         resumed.check_min_merge_property()
         best = optimal_error(prefix + suffix, 4)
         assert resumed.error <= best + 1e-12
         assert continuous.error <= best + 1e-12
 
     def test_linear_findmin_round_trip(self):
-        summary = MinMergeHistogram(buckets=3, findmin="linear")
-        summary.extend(range(100))
-        resumed = restore(state_dict(summary))
-        assert resumed.findmin == "linear"
-        assert _snapshot(resumed) == _snapshot(summary)
+        # A checkpoint written under the footnote-4 linear-scan FINDMIN
+        # restores its exact buckets and round-trips from there.
+        state = PARENT_MIN_MERGE["checkpoints"]["min-merge/object/linear"]
+        assert state["findmin"] == "linear"
+        resumed = restore(state)
+        assert state_dict(resumed)["bucket_list"] == state["bucket_list"]
+        again = restore(state_dict(resumed))
+        assert _snapshot(again) == _snapshot(resumed)
 
     def test_json_round_trip(self):
         summary = MinMergeHistogram(buckets=3)

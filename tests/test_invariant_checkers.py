@@ -7,14 +7,16 @@ here corrupts a structure deliberately and asserts the checker objects.
 
 from __future__ import annotations
 
+from heapq import heapify
+
 import pytest
 
 from repro.baselines.gk_quantile import GKQuantileSketch
-from repro.core.bucket import Bucket
 from repro.core.min_merge import MinMergeHistogram
 from repro.geometry.convex_hull import StreamingHull
 from repro.structures.heap import AddressableMinHeap
 from repro.structures.monotone_stack import SuffixExtremaStack
+from tests.min_merge_reference import MinMergeReference
 
 
 class TestHeapChecker:
@@ -41,29 +43,31 @@ class TestMinMergeCheckers:
         summary.extend([0, 0, 0, 0])  # four identical singleton-ish buckets
         # Corrupt the *tail* bucket to a huge error: now the cheap pair at
         # the head (merge error 0) undercuts err(S) = 5000.
-        summary._list.tail.bucket = Bucket(3, 3, 0, 10_000)
+        kernel = summary._soa
+        kernel.mn[kernel.tail], kernel.mx[kernel.tail] = 0, 10_000
         with pytest.raises(AssertionError):
             summary.check_min_merge_property()
 
     def test_detects_stale_heap_key(self):
         summary = MinMergeHistogram(buckets=2)
         summary.extend(range(20))
-        node = summary._list.head
-        summary._heap.update(node.pair_handle, (-123.0, node.bucket.beg))
+        kernel = summary._soa
+        kernel.pkey[kernel.head] = -123.0
         with pytest.raises(AssertionError):
-            summary.check_heap_consistency()
+            kernel.check_consistency()
 
     def test_detects_missing_pair_key(self):
         summary = MinMergeHistogram(buckets=2)
         summary.extend(range(20))
-        node = summary._list.head
-        summary._heap.remove(node.pair_handle)
-        node.pair_handle = None
+        kernel = summary._soa
+        kernel.heap[:] = [e for e in kernel.heap if e[2] != kernel.head]
+        heapify(kernel.heap)
         with pytest.raises(AssertionError):
-            summary.check_heap_consistency()
+            kernel.check_consistency()
 
     def test_linear_mode_rejects_populated_heap(self):
-        summary = MinMergeHistogram(buckets=2, findmin="linear")
+        # The footnote-4 linear-scan FINDMIN lives on as a test oracle.
+        summary = MinMergeReference(2, findmin="linear")
         summary.extend(range(20))
         summary._heap.push(1.0, None)
         with pytest.raises(AssertionError):

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 import repro.core.min_increment as min_increment_module
 from repro.checkpoint import restore, state_dict
+from repro.core.greedy_insert import GreedyInsertSummary
 from repro.core.min_increment import MinIncrementHistogram
 from repro.data import brownian
 from repro.exceptions import DomainError
-from tests.min_increment_reference import ReferenceMinIncrement
+from tests.min_increment_reference import ReferenceMinIncrement, greedy_until_dead
 
 U = 1 << 12
 
@@ -336,6 +337,14 @@ class TestPruning:
         assert reference.alive_levels[0] == 1.0
         assert summary.alive_levels == reference.alive_levels
         assert state_dict(summary) == reference.state()
+
+    def test_reference_early_exit_consumes_partially(self):
+        # The oracle stops feeding a level once it holds more than B
+        # buckets: it is dead (Lemma 2) and the rest is unobservable.
+        summary = GreedyInsertSummary(1.0)
+        consumed = greedy_until_dead(summary, [0, 100] * 4, 2)
+        assert consumed == 3
+        assert summary.bucket_count == 3
 
 
 class TestCounters:

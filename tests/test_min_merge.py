@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.min_merge import MinMergeHistogram
 from repro.exceptions import EmptySummaryError, InvalidParameterError
 from repro.offline.optimal import optimal_error
+from tests.min_merge_reference import MinMergeReference
 
 streams = st.lists(st.integers(0, 1000), min_size=1, max_size=400)
 small_buckets = st.integers(1, 8)
@@ -112,7 +113,7 @@ class TestGuarantee:
         for v in values:
             summary.insert(v)
             summary.check_min_merge_property()
-            summary.check_heap_consistency()
+            summary._soa.check_consistency()
 
     @given(streams)
     def test_reported_error_matches_measured(self, values):
@@ -158,32 +159,36 @@ class TestMemory:
 
 
 class TestLinearFindmin:
-    def test_invalid_mode(self):
-        with pytest.raises(InvalidParameterError):
-            MinMergeHistogram(buckets=2, findmin="quadratic")
+    """Footnote 4's linear-scan FINDMIN, kept as a test oracle."""
 
-    @given(st.lists(st.integers(0, 500), min_size=1, max_size=200))
-    def test_linear_matches_heap_error(self, values):
-        """Footnote 4: same algorithm, different FINDMIN implementation."""
-        heap_summary = MinMergeHistogram(buckets=3)
-        linear_summary = MinMergeHistogram(buckets=3, findmin="linear")
-        heap_summary.extend(values)
-        linear_summary.extend(values)
-        # Tie-breaking may differ, so bucket boundaries can differ, but
-        # both satisfy the min-merge property and the same error bound.
-        linear_summary.check_min_merge_property()
-        linear_summary.check_heap_consistency()
-        best = optimal_error(values, 3)
-        assert heap_summary.error <= best
-        assert linear_summary.error <= best
+    @given(st.lists(st.integers(0, 500), min_size=1, max_size=200), small_buckets)
+    def test_linear_matches_heap_error(self, values, buckets):
+        """Same algorithm, different FINDMIN: identical errors and buckets.
+
+        Both FINDMINs pick the leftmost cheapest pair, so the linear scan,
+        the addressable heap and the production lazy heap agree exactly.
+        """
+        heap = MinMergeReference(buckets)
+        linear = MinMergeReference(buckets, findmin="linear")
+        summary = MinMergeHistogram(buckets=buckets)
+        heap.extend(values)
+        linear.extend(values)
+        summary.extend(values)
+        assert linear.error == heap.error == summary.error
+        assert linear.state_dict() == heap.state_dict()
+        assert [repr(b) for b in summary.buckets_snapshot()] == [
+            repr(b) for b in linear.buckets_snapshot()
+        ]
+        linear.check_heap_consistency()
+        heap.check_heap_consistency()
+        assert summary.error <= optimal_error(values, buckets)
 
     def test_linear_mode_uses_no_heap_memory(self):
-        heap_summary = MinMergeHistogram(buckets=4)
-        linear_summary = MinMergeHistogram(buckets=4, findmin="linear")
-        stream = list(range(100))
-        heap_summary.extend(stream)
-        linear_summary.extend(stream)
-        assert linear_summary.memory_bytes() < heap_summary.memory_bytes()
+        heap = MinMergeReference(4)
+        linear = MinMergeReference(4, findmin="linear")
+        heap.extend(range(100))
+        linear.extend(range(100))
+        assert linear.memory_bytes() < heap.memory_bytes()
 
 
 class TestWorkingBucketsOverride:

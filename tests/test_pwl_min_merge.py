@@ -85,8 +85,8 @@ class TestMemory:
         summary = PwlMinMergeHistogram(buckets=4, hull_epsilon=0.2)
         for i in range(2000):
             summary.insert(i * i % 100_000)
-        for node in summary._list:
-            hull = node.bucket.hull
+        for bucket in summary.buckets_snapshot():
+            hull = bucket.hull
             assert hull.stored_entries <= hull._threshold
         per_bucket_cap = 8 * (2 * (2 * 16 + 4)) + 8  # entries x 8B + header
         heap_bytes = 8 * summary.bucket_count

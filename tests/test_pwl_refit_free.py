@@ -30,6 +30,7 @@ from repro.core.pwl_min_merge import PwlMinMergeHistogram
 from repro.core.sliding_window_pwl import SlidingWindowPwlMinIncrement
 from repro.geometry.convex_hull import StreamingHull
 from repro.geometry.fit import _min_vertical_gap
+from tests.min_merge_reference import PwlMinMergeReference
 from tests.pwl_reference import RefitBucket, min_vertical_gap, rebuild_chain
 
 U = 1 << 12
@@ -194,12 +195,14 @@ class TestDecisionIdentity:
                 bucket = PwlBucket(i, v)
         assert len(calls) < len(values) // 4
 
+    # "object" is the linked-list oracle kernel, "soa" the production one.
     @pytest.mark.parametrize("backend", ["object", "soa"])
     @pytest.mark.parametrize("hull_epsilon", [None, 0.1])
     def test_merged_bucket_error_equals_a_fresh_fit(self, backend, hull_epsilon):
         rng = np.random.default_rng(11)
         values = (np.cumsum(rng.integers(-40, 41, 1500)) + 4000).tolist()
-        summary = PwlMinMergeHistogram(6, hull_epsilon=hull_epsilon, backend=backend)
+        kernel = PwlMinMergeReference if backend == "object" else PwlMinMergeHistogram
+        summary = kernel(6, hull_epsilon=hull_epsilon)
         for v in values:
             summary.insert(v)
         for bucket in summary.buckets_snapshot():

@@ -1,9 +1,10 @@
 """Tests for the scenario DSL, generators, runner, and conformance suite.
 
 The differential conformance matrix at the bottom is the PR's standing
-gate: every bundled scenario runs through object/soa x serial/parallel x
+gate: every bundled scenario runs through serial/parallel x
 scalar/batched ingest and must produce bit-identical buckets plus
-bounded error against the offline-optimal oracle.
+bounded error against the offline-optimal oracle.  The object-kernel
+oracle cells live in ``tests/test_min_merge_reference.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.scenarios import (
     schedules,
     stream_lengths,
 )
+from tests.min_merge_reference import MinMergeReference
 
 # Golden generator digests: any change to the seeded synthesis pipeline
 # (spec seed -> SeedSequence -> process -> drift -> ordering -> quantize)
@@ -305,11 +307,14 @@ class TestRunner:
         assert payload["streams"][0]["bound_ok"] is True
 
     def test_soa_backend_matches_object(self):
+        # The run's kernel against the object-kernel oracle on its stream.
         spec = load_bundled("steady-brownian").with_overrides(length=2048)
-        obj = run_scenario(spec, "min-merge", backend="object")
-        soa = run_scenario(spec, "min-merge", backend="soa")
-        assert obj.streams[0].error == soa.streams[0].error
-        assert obj.streams[0].buckets_used == soa.streams[0].buckets_used
+        report = run_scenario(spec, "min-merge")
+        (values,) = generate(spec).values()
+        oracle = MinMergeReference(spec.buckets)
+        oracle.extend(values.tolist())
+        assert report.streams[0].error == oracle.error
+        assert report.streams[0].buckets_used == oracle.bucket_count
 
     def test_parallel_run_bounded(self):
         spec = load_bundled("steady-brownian").with_overrides(length=4096)
@@ -339,12 +344,24 @@ class TestRunner:
         assert served.streams[0].memory_bytes > 0
 
     def test_service_target_soa_backend(self):
-        """The wire must carry the backend key (server config regression)."""
+        """The wire still accepts the deprecated backend config key."""
+        from repro.service import ServiceClient, StreamEngine, StreamServer
+
         spec = load_bundled("steady-brownian").with_overrides(length=1024)
-        local = run_scenario(spec, "min-merge", backend="soa")
-        served = run_scenario(spec, "min-merge", target="service",
-                              backend="soa")
-        assert served.streams[0].error == local.streams[0].error
+        local = run_scenario(spec, "min-merge")
+        (values,) = generate(spec).values()
+        with StreamEngine() as engine:
+            server = StreamServer(engine).start_in_background()
+            try:
+                with ServiceClient("127.0.0.1", server.port) as client:
+                    client.append(
+                        "s", values, method="min-merge", buckets=spec.buckets,
+                        backend="soa",
+                    )
+                    served = client.query("s", drain=True).histogram
+            finally:
+                server.stop()
+        assert served.error == local.streams[0].error
 
     def test_invalid_runner_configs_rejected(self):
         spec = load_bundled("steady-brownian")
@@ -354,8 +371,6 @@ class TestRunner:
             ScenarioRunner(target="service", workers=2)
         with pytest.raises(InvalidParameterError):
             run_scenario(spec, "min-increment", workers=2)
-        with pytest.raises(InvalidParameterError):
-            run_scenario(spec, "min-increment", backend="soa")
         windowed = load_bundled("out-of-order-window")
         with pytest.raises(InvalidParameterError):
             run_scenario(windowed, "min-merge", workers=2)
@@ -368,26 +383,26 @@ class TestConformance:
     @pytest.mark.parametrize("name", sorted(conformance_scenarios()))
     @pytest.mark.parametrize("method", ("min-merge", "pwl-min-merge"))
     def test_full_matrix_bit_identical(self, name, method):
-        """The PR's acceptance gate: every bundled scenario x both
-        merge-capable methods through object/soa x serial/parallel x
-        scalar/batched ingest -- bit-identical within each family,
-        bounded against the DP-verified oracle."""
+        """The standing gate: every bundled scenario x both merge-capable
+        methods through serial/parallel x scalar/batched ingest --
+        bit-identical within each family, bounded against the DP-verified
+        oracle."""
         spec = load_bundled(name)
         if spec.length > 4000:  # keep the per-PR matrix fast; nightly
             spec = spec.with_overrides(length=4000)  # runs full lengths
         result = check_conformance(spec, method)
         assert result.ok
         for cells in result.cells.values():
-            assert "serial/object/scalar" in cells
-            assert "serial/soa/batch" in cells
-            assert "parallel/object" in cells
-            assert "parallel/soa" in cells
+            assert "serial/scalar" in cells
+            assert "serial/batch" in cells
+            assert "parallel/pool" in cells
+            assert "parallel/reference" in cells
 
     def test_windowed_scenario_serial_cells(self):
         spec = load_bundled("out-of-order-window").with_overrides(length=3000)
         result = check_conformance(spec, "min-increment")
         (cells,) = result.cells.values()
-        assert set(cells) == {"serial/object/scalar", "serial/object/batch"}
+        assert set(cells) == {"serial/scalar", "serial/batch"}
 
     def test_fault_scenario_conformance_includes_recovery(self):
         result = check_conformance(load_bundled("crash-recovery"), "min-merge")

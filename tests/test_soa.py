@@ -1,15 +1,15 @@
-"""Cross-backend equivalence: ``backend="soa"`` vs ``backend="object"``.
+"""The structure-of-arrays kernels against the object-kernel oracle.
 
-The structure-of-arrays kernels (``repro.core.soa``) promise *bit-identical*
-MIN-MERGE maintenance -- same buckets, same error, same tie-breaks -- while
-replacing the object backend's per-bucket allocation and addressable heap
-with flat columns and a lazy-deletion ``heapq``.  These tests sweep both
-backends over seeded randomized and adversarial streams and require exact
-state equality at every interface: scalar ``insert``, batched ``extend``,
-``insert_run``, ``adopt_buckets``/``compact``, checkpoint round trips
-across backends (both directions), parallel tree-reduce merges, the
-``api.summarize``/service plumbing, and the engine's epoch-keyed query
-cache that rides on top.
+The SoA kernels (``repro.core.soa``) behind every ``MinMergeHistogram``
+and ``PwlMinMergeHistogram`` promise *bit-identical* MIN-MERGE
+maintenance -- same buckets, same error, same tie-breaks -- to the
+linked-list + addressable-heap kernels kept in
+``tests/min_merge_reference.py``.  These tests sweep both over seeded
+randomized and adversarial streams and require exact state equality at
+every interface: scalar ``insert``, batched ``extend``, checkpoints
+written under either old ``backend`` key, parallel tree-reduce merges,
+the deprecated ``backend=`` argument of the API and service plumbing,
+and the engine's epoch-keyed query cache that rides on top.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from repro.core.pwl_min_merge import PwlMinMergeHistogram
 from repro.exceptions import InvalidParameterError
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel import ParallelSummarizer
+from repro.parallel.reduce import tree_reduce
 from repro.service import StreamEngine
+from tests.min_merge_reference import MinMergeReference, PwlMinMergeReference
 
 
 def _dataset(name: str, n: int, seed: int = 0) -> list:
@@ -69,27 +71,28 @@ def _state(summary) -> tuple:
     )
 
 
+_ORACLES = {
+    MinMergeHistogram: MinMergeReference,
+    PwlMinMergeHistogram: PwlMinMergeReference,
+}
+
+
 def _pair(cls, buckets, **kwargs):
-    return (
-        cls(buckets=buckets, backend="object", **kwargs),
-        cls(buckets=buckets, backend="soa", **kwargs),
-    )
+    """(object-kernel oracle, production summary) with one configuration."""
+    return _ORACLES[cls](buckets, **kwargs), cls(buckets=buckets, **kwargs)
+
+
+def _segments(hist) -> list:
+    return [(s.beg, s.end, s.left, s.right) for s in hist]
 
 
 class TestConstruction:
     def test_invalid_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            MinMergeHistogram(buckets=4, backend="nope")
-        with pytest.raises(InvalidParameterError):
-            PwlMinMergeHistogram(buckets=4, backend="nope")
-
-    def test_soa_requires_heap_findmin(self):
-        with pytest.raises(InvalidParameterError):
-            MinMergeHistogram(buckets=4, backend="soa", findmin="linear")
-
-    def test_backend_attribute(self):
-        assert MinMergeHistogram(buckets=4).backend == "object"
-        assert MinMergeHistogram(buckets=4, backend="soa").backend == "soa"
+        for method in ("min-merge", "pwl-min-merge"):
+            with pytest.raises(InvalidParameterError):
+                build_summary(method, buckets=4, backend="nope")
+            build_summary(method, buckets=4, backend="soa")
+            build_summary(method, buckets=4, backend="object")
 
     def test_build_summary_rejects_backend_for_other_methods(self):
         with pytest.raises(InvalidParameterError):
@@ -106,7 +109,7 @@ class TestScalarEquivalence:
             obj.insert(v)
             soa.insert(v)
         assert _state(obj) == _state(soa)
-        soa.check_heap_consistency()
+        soa._soa.check_consistency()
         soa.check_min_merge_property()
 
     @pytest.mark.parametrize("seed", range(5))
@@ -118,7 +121,7 @@ class TestScalarEquivalence:
             soa.insert(v)
             if i % 97 == 0:
                 assert _state(obj) == _state(soa)
-                soa.check_heap_consistency()
+                soa._soa.check_consistency()
         assert _state(obj) == _state(soa)
 
     def test_long_tiny_budget_stream_exercises_compaction(self):
@@ -130,16 +133,14 @@ class TestScalarEquivalence:
             obj.insert(v)
             soa.insert(v)
         assert _state(obj) == _state(soa)
-        soa.check_heap_consistency()
+        soa._soa.check_consistency()
 
     def test_histogram_segments_match(self):
         data = _dataset("uniform", 400)
         obj, soa = _pair(MinMergeHistogram, 6)
         obj.extend(data)
         soa.extend(data)
-        assert [
-            (s.beg, s.end, s.left, s.right) for s in obj.histogram()
-        ] == [(s.beg, s.end, s.left, s.right) for s in soa.histogram()]
+        assert _segments(obj.histogram()) == _segments(soa.histogram())
 
 
 class TestBatchEquivalence:
@@ -150,14 +151,14 @@ class TestBatchEquivalence:
         obj.extend(arr)
         soa.extend(arr)
         assert _state(obj) == _state(soa)
-        soa.check_heap_consistency()
+        soa._soa.check_consistency()
 
     def test_extend_matches_scalar_inserts(self):
         data = _dataset("uniform", 2_000, seed=3)
-        scalar = MinMergeHistogram(buckets=8, backend="soa")
+        scalar = MinMergeHistogram(buckets=8)
         for v in data:
             scalar.insert(v)
-        batched = MinMergeHistogram(buckets=8, backend="soa")
+        batched = MinMergeHistogram(buckets=8)
         batched.extend(np.asarray(data))
         assert _state(scalar) == _state(batched)
 
@@ -187,35 +188,34 @@ class TestPwlEquivalence:
         obj.extend(arr)
         soa.extend(arr)
         assert _state(obj) == _state(soa)
-        assert [
-            (s.beg, s.end, s.left, s.right) for s in obj.histogram()
-        ] == [(s.beg, s.end, s.left, s.right) for s in soa.histogram()]
+        assert _segments(obj.histogram()) == _segments(soa.histogram())
 
 
 class TestCheckpointCrossBackend:
     @pytest.mark.parametrize("src,dst", [("object", "soa"), ("soa", "object")])
     @pytest.mark.parametrize("kind", ["min-merge", "pwl-min-merge"])
     def test_midstream_restore_across_backends(self, kind, src, dst):
-        # Checkpoint one backend mid-stream, restore under the other, feed
-        # the tail to both: the futures must be bit-identical.
+        # A checkpoint naming either old kernel restores onto the one
+        # kernel; feed the tail to both: the futures must be bit-identical.
         data = _dataset("uniform", 1_200, seed=4)
         reference = build_summary(kind, buckets=6, backend=src)
         reference.extend(data[:700])
         state = checkpoint.state_dict(reference)
-        assert state["backend"] == src
         state["backend"] = dst
         restored = checkpoint.restore(state)
-        assert restored.backend == dst
         assert _state(reference) == _state(restored)
         reference.extend(data[700:])
         restored.extend(data[700:])
         assert _state(reference) == _state(restored)
 
     def test_json_round_trip_preserves_backend(self):
-        summary = MinMergeHistogram(buckets=4, backend="soa")
+        # The "backend" key is still written, for readers that select a
+        # kernel by it.
+        summary = MinMergeHistogram(buckets=4)
         summary.extend(_dataset("rough", 300))
-        restored = checkpoint.from_json(checkpoint.to_json(summary))
-        assert restored.backend == "soa"
+        payload = checkpoint.to_json(summary)
+        assert '"backend":"soa"' in payload
+        restored = checkpoint.from_json(payload)
         assert _state(summary) == _state(restored)
 
 
@@ -223,20 +223,27 @@ class TestParallelEquivalence:
     @pytest.mark.parametrize("method", ["min-merge", "pwl-min-merge"])
     def test_tree_reduce_matches_object_backend(self, method):
         data = np.asarray(_dataset("uniform", 6_000, seed=5))
-        results = []
-        for backend in ("object", "soa"):
-            summarizer = ParallelSummarizer(
-                method,
-                buckets=8,
-                workers=3,
-                backend="thread",
-                serial_cutoff=1,
-                summary_backend=backend,
-            )
-            summary = summarizer.summarize(data)
-            assert summary.backend == backend
-            results.append(_state(summary))
-        assert results[0] == results[1]
+        summarizer = ParallelSummarizer(
+            method, buckets=8, workers=3, backend="thread", serial_cutoff=1
+        )
+        summary = summarizer.summarize(data)
+        oracle_cls = MinMergeReference if method == "min-merge" else PwlMinMergeReference
+        shards = []
+        for shard in summarizer.plan(len(data)):
+            child = oracle_cls(8)
+            child.items_seen = shard.start
+            child.extend(data[shard.slice()])
+            shards.append(child)
+
+        def merge(group, *, buckets):
+            merged = oracle_cls(buckets)
+            for child in group:
+                merged.adopt_buckets(child.buckets_snapshot())
+            merged.compact()
+            return merged
+
+        oracle = tree_reduce(shards, merge, buckets=8, arity=2)
+        assert _state(summary) == _state(oracle)
 
     def test_summarize_workers_kwarg(self):
         data = _dataset("uniform", 4_000, seed=6)
@@ -272,10 +279,8 @@ class TestEngineIntegration:
             handle.append(data)
             engine.checkpoint("s")
             served = list(engine.histogram("s"))
-            assert engine.stats("s")["backend"] == "soa"
-        # A fresh engine recovers the stream on the same kernel.
+        # A fresh engine recovers the stream bit-identically.
         with StreamEngine(checkpoint_dir=str(tmp_path)) as engine:
-            assert engine.stats("s")["backend"] == "soa"
             assert list(engine.histogram("s")) == served
 
     def test_query_cache_hits_between_writes(self):

@@ -32,7 +32,7 @@ class TestMillionItems:
         summary.extend(million_walk)
         assert summary.items_seen == 1_000_000
         assert summary.memory_bytes() == 1528  # exactly B-determined
-        summary.check_heap_consistency()
+        summary._soa.check_consistency()
         summary.check_min_merge_property()
         hist = summary.histogram()
         assert hist.coverage == 1_000_000
@@ -62,7 +62,5 @@ class TestMillionItems:
         summary = PwlMinMergeHistogram(buckets=16, hull_epsilon=0.2)
         summary.extend(million_walk[:100_000])
         assert summary.bucket_count <= 32
-        for node in summary._list:
-            assert node.bucket.hull.stored_entries <= (
-                node.bucket.hull._threshold
-            )
+        for bucket in summary.buckets_snapshot():
+            assert bucket.hull.stored_entries <= bucket.hull._threshold
