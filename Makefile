@@ -56,7 +56,8 @@ bench-parallel:
 		--json BENCH_PARALLEL.json --min-speedup 1.3
 
 # Wire codec + hotspot before/after micro-profiles (JSON vs binary
-# serialization, FINDMIN heap churn, hull add).
+# serialization, AddressableMinHeap churn behind the MIN-MERGE test
+# oracle and the L2/relative loops, hull add).
 bench-wire:
 	$(PYTHON) benchmarks/bench_wire.py --json BENCH_WIRE.json
 	$(PYTHON) benchmarks/validate_bench_json.py BENCH_WIRE.json

@@ -8,7 +8,11 @@ production code has moved on:
   line (protocol 1) versus a binary ``OP_APPEND`` frame (protocol 2).
   This is the serialization share of the end-to-end speedup gated by
   ``bench_service_smoke.py``.
-* **heap** -- FINDMIN maintenance in the MIN-MERGE kernels.  Before:
+* **heap** -- pair-key maintenance in :class:`AddressableMinHeap`, the
+  structure behind the MIN-MERGE test oracle
+  (``tests/min_merge_reference.py``) and the L2 and relative-error
+  merge loops; the MIN-MERGE kernel itself keeps its heap in
+  ``repro.core.soa_heap``.  Before:
   every neighbour-key refresh was ``remove(handle)`` + ``push`` (two
   full sift chains plus handle churn) and a bucket merge retired three
   entries and pushed two.  After: ``update(handle, key)`` re-sifts in

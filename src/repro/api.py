@@ -29,19 +29,20 @@ the :class:`~repro.core.interface.StreamingSummary` protocol, which is
 constructed with whatever subset of ``buckets`` / ``epsilon`` /
 ``universe`` its ``__init__`` accepts.  :func:`methods` reports a
 capability matrix (streaming/mergeable/checkpointable/windowed/PWL) for
-every registered method, derived from the summary classes themselves.
+every registered method, read from the one method table
+(``_METHOD_SPECS``) that every summary builder in the package uses.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.histogram import Histogram, HistogramMeta
-from repro.core.interface import conforms
+from repro.core.interface import DEFAULT_HULL_EPSILON, conforms
 from repro.core.min_increment import MinIncrementHistogram
 from repro.core.min_merge import MinMergeHistogram
 from repro.core.pwl_min_increment import PwlMinIncrementHistogram
@@ -63,18 +64,26 @@ DEFAULT_UNIVERSE = 1 << 15
 
 @dataclass(frozen=True)
 class _MethodSpec:
-    """How one registry method maps onto summary classes.
+    """What one registry method is: the only place that says so.
 
-    ``summary_cls`` is ``None`` for offline methods; ``windowed_cls`` is
-    the sliding-window variant reachable via ``summarize(window=)``, or
-    ``None`` when the method has no windowed form.  ``needs_universe``
-    marks the ladder family, whose constructors take the value domain.
+    ``summary_cls`` is ``None`` for offline methods, whose one-shot
+    builder is ``offline``; ``windowed_cls`` is the sliding-window
+    variant reachable via ``window=``, or ``None`` when the method has
+    none.  ``needs_universe`` marks the ladder family, whose
+    constructors take the value domain; ``mergeable`` marks the family
+    whose shard summaries combine losslessly (``workers=``).
+    ``guarantee`` is the theorem's ``(error factor, bucket factor)``
+    against the optimal ``B``-bucket error, with ``None`` standing for
+    ``1 + epsilon`` (see :func:`guarantee_bounds` for the windowed form).
     """
 
     summary_cls: Optional[type] = None
     windowed_cls: Optional[type] = None
     needs_universe: bool = False
-    offline_pwl: bool = False
+    pwl: bool = False
+    mergeable: bool = False
+    guarantee: Optional[Tuple[Optional[float], int]] = None
+    offline: Optional[Callable] = None
 
 
 _METHOD_SPECS = {
@@ -82,17 +91,108 @@ _METHOD_SPECS = {
         summary_cls=MinIncrementHistogram,
         windowed_cls=SlidingWindowMinIncrement,
         needs_universe=True,
+        guarantee=(None, 1),
     ),
-    "min-merge": _MethodSpec(summary_cls=MinMergeHistogram),
+    "min-merge": _MethodSpec(
+        summary_cls=MinMergeHistogram, mergeable=True, guarantee=(1.0, 2)
+    ),
     "pwl": _MethodSpec(
         summary_cls=PwlMinIncrementHistogram,
         windowed_cls=SlidingWindowPwlMinIncrement,
         needs_universe=True,
+        pwl=True,
+        guarantee=(None, 1),
     ),
-    "pwl-min-merge": _MethodSpec(summary_cls=PwlMinMergeHistogram),
-    "optimal": _MethodSpec(),
-    "optimal-pwl": _MethodSpec(offline_pwl=True),
+    "pwl-min-merge": _MethodSpec(
+        summary_cls=PwlMinMergeHistogram,
+        pwl=True,
+        mergeable=True,
+        guarantee=(1.0, 2),
+    ),
+    "optimal": _MethodSpec(offline=optimal_histogram, guarantee=(1.0, 1)),
+    "optimal-pwl": _MethodSpec(offline=optimal_pwl_histogram, pwl=True),
 }
+
+#: Methods that accept ``workers=`` in :func:`summarize`: exactly the
+#: merge-capable families, whose shard summaries combine losslessly (see
+#: ``repro.parallel``).  The ladder methods are excluded because
+#: MIN-INCREMENT state is not mergeable (each GREEDY-INSERT level depends
+#: on its own segment's bucket boundaries).
+PARALLEL_METHODS = tuple(
+    name for name, spec in _METHOD_SPECS.items() if spec.mergeable
+)
+
+
+def _construct(
+    method: str,
+    *,
+    buckets: int,
+    epsilon: Optional[float] = None,
+    universe: Optional[int] = None,
+    window: Optional[int] = None,
+    hull_epsilon: Optional[float] = DEFAULT_HULL_EPSILON,
+    working_buckets: Optional[int] = None,
+    metrics=None,
+):
+    """Build ``method``'s summary (its windowed form when ``window`` is set).
+
+    The one constructor behind :func:`build_summary`,
+    :func:`repro.harness.runner.make_algorithm` and the parallel shard
+    workers; each passes only its own defaults.  Keywords the chosen
+    class does not take are dropped: ``epsilon``/``universe`` outside the
+    ladder family, ``hull_epsilon`` outside PWL, ``working_buckets``
+    outside the MIN-MERGE family.
+    """
+    spec = _METHOD_SPECS[method]
+    kwargs = {"buckets": buckets, "metrics": metrics}
+    if spec.pwl:
+        kwargs["hull_epsilon"] = hull_epsilon
+    if window is not None:
+        cls = spec.windowed_cls
+        kwargs.update(epsilon=epsilon, universe=universe, window=window)
+    else:
+        cls = spec.summary_cls
+        if spec.needs_universe:
+            kwargs.update(epsilon=epsilon, universe=universe)
+        if spec.mergeable:
+            kwargs["working_buckets"] = working_buckets
+    return cls(**kwargs)
+
+
+def guarantee_bounds(
+    method: str, *, buckets: int, epsilon: float, windowed: bool = False
+) -> Tuple[float, int]:
+    """``(error factor, bucket limit)`` of a streaming method's theorem.
+
+    A run of ``method`` with budget ``buckets`` must report at most the
+    bucket limit and err by at most the factor times the optimal
+    ``buckets``-bucket error of the values it covers: (1, 2) for the
+    MIN-MERGE family, (1 + eps, 1) for the ladder family and (1 + eps,
+    1 + 1/B) for a sliding window (Theorem 5).
+    """
+    factor, bucket_factor = _METHOD_SPECS[method].guarantee
+    if windowed:
+        # Theorem 5: the window keeps one partially expired bucket.
+        return 1.0 + epsilon, buckets + 1
+    if factor is None:
+        factor = 1.0 + epsilon
+    return factor, bucket_factor * buckets
+
+
+def _check_windowed(method) -> None:
+    """Raise unless ``method`` names a method with a sliding window."""
+    spec = _METHOD_SPECS.get(method)
+    if spec is None or spec.windowed_cls is None:
+        windowed = [
+            name
+            for name, s in _METHOD_SPECS.items()
+            if s.windowed_cls is not None
+        ]
+        raise InvalidParameterError(
+            f"method {method!r} has no sliding-window variant; "
+            f"window= is supported for: {', '.join(windowed)}"
+        )
+
 
 def check_backend(backend: str, method) -> None:
     """Validate a deprecated ``backend=`` argument; it selects nothing.
@@ -145,32 +245,16 @@ def build_summary(
             f"methods: {', '.join(streaming_methods())}"
             + (" (see repro.api.methods())" if spec is not None else "")
         )
-    if universe is None:
-        universe = DEFAULT_UNIVERSE
     if window is not None:
-        if spec.windowed_cls is None:
-            windowed = [
-                name
-                for name, s in _METHOD_SPECS.items()
-                if s.windowed_cls is not None
-            ]
-            raise InvalidParameterError(
-                f"method {method!r} has no sliding-window variant; "
-                f"window= is supported for: {', '.join(windowed)}"
-            )
-        return spec.windowed_cls(
-            buckets=buckets,
-            epsilon=epsilon,
-            universe=universe,
-            window=window,
-            metrics=metrics,
-        )
-    if spec.needs_universe:
-        return spec.summary_cls(
-            buckets=buckets, epsilon=epsilon, universe=universe,
-            metrics=metrics,
-        )
-    return spec.summary_cls(buckets=buckets, metrics=metrics)
+        _check_windowed(method)
+    return _construct(
+        method,
+        buckets=buckets,
+        epsilon=epsilon,
+        universe=universe if universe is not None else DEFAULT_UNIVERSE,
+        window=window,
+        metrics=metrics,
+    )
 
 
 def streaming_methods() -> tuple:
@@ -187,8 +271,8 @@ def methods() -> dict:
     """Capability matrix for every :data:`ALGORITHM_REGISTRY` method.
 
     Returns ``{name: capabilities}`` where capabilities is a plain dict
-    with boolean flags, derived from the summary classes rather than
-    hand-maintained:
+    with boolean flags, read from the method table and probed on the
+    summary classes:
 
     * ``streaming`` -- has a :class:`StreamingSummary`-conformant class
       (usable as a :class:`~repro.service.StreamEngine` tenant method);
@@ -226,14 +310,13 @@ def methods() -> dict:
             }
             continue
         cls = spec.summary_cls
-        pwl = spec.offline_pwl or (cls is not None and "Pwl" in cls.__name__)
         matrix[name] = {
             "streaming": cls is not None and conforms(cls),
             "offline": cls is None,
-            "mergeable": name in PARALLEL_METHODS,
+            "mergeable": spec.mergeable,
             "checkpointable": cls is not None and checkpointable(cls),
             "windowed": spec.windowed_cls is not None,
-            "pwl": pwl,
+            "pwl": spec.pwl,
             "summary_class": cls.__name__ if cls is not None else None,
             "custom": False,
         }
@@ -259,21 +342,15 @@ def _method_lines() -> str:
 # -- one-shot builders (the ALGORITHM_REGISTRY contract) ----------------------
 
 
-def _build_optimal(values, buckets, epsilon):
-    return optimal_histogram(values, buckets)
-
-
-def _build_optimal_pwl(values, buckets, epsilon):
-    return optimal_pwl_histogram(values, buckets)
-
-
-def _oneshot(method: str, values, buckets: int, epsilon: float) -> Histogram:
+def _oneshot(
+    method: str, values, buckets: int, epsilon: float, window=None
+) -> Histogram:
     """Run a streaming method through an ephemeral service session.
 
     The single code route behind both the registry builders and
-    ``summarize``: build the summary via :func:`build_summary`, append
-    once through a :class:`~repro.service.Session` stream, query the
-    histogram.
+    ``summarize(window=)``: build the summary via :func:`build_summary`,
+    append once through a :class:`~repro.service.Session` stream, query
+    the histogram (whose meta the session fills in from the summary).
     """
     spec = _METHOD_SPECS[method]
     universe = _universe_for(values) if spec.needs_universe else None
@@ -282,6 +359,7 @@ def _oneshot(method: str, values, buckets: int, epsilon: float) -> Histogram:
         buckets=buckets,
         epsilon=epsilon,
         universe=universe,
+        window=window,
     )
     return _run_attached(method, summary, values, buckets)
 
@@ -298,20 +376,14 @@ def _run_attached(label: str, summary, values, buckets: int) -> Histogram:
         return handle.histogram(requested_buckets=buckets)
 
 
-def _build_min_merge(values, buckets, epsilon):
-    return _oneshot("min-merge", values, buckets, epsilon)
-
-
-def _build_min_increment(values, buckets, epsilon):
-    return _oneshot("min-increment", values, buckets, epsilon)
-
-
-def _build_pwl(values, buckets, epsilon):
-    return _oneshot("pwl", values, buckets, epsilon)
-
-
-def _build_pwl_min_merge(values, buckets, epsilon):
-    return _oneshot("pwl-min-merge", values, buckets, epsilon)
+def _registry_builder(method: str):
+    """The ``(values, buckets, epsilon)`` one-shot builder of ``method``."""
+    offline = _METHOD_SPECS[method].offline
+    if offline is not None:
+        return lambda values, buckets, epsilon: offline(values, buckets)
+    return lambda values, buckets, epsilon: _oneshot(
+        method, values, buckets, epsilon
+    )
 
 
 #: Registry mapping :func:`summarize` method names to builders.  Each
@@ -319,21 +391,7 @@ def _build_pwl_min_merge(values, buckets, epsilon):
 #: :class:`~repro.core.histogram.Histogram`.  Extend it to register a new
 #: method name; ``SUMMARIZE_METHODS`` is derived from the keys and
 #: :func:`methods` reports per-method capabilities.
-ALGORITHM_REGISTRY = {
-    "min-increment": _build_min_increment,
-    "min-merge": _build_min_merge,
-    "pwl": _build_pwl,
-    "pwl-min-merge": _build_pwl_min_merge,
-    "optimal": _build_optimal,
-    "optimal-pwl": _build_optimal_pwl,
-}
-
-#: Methods that accept ``workers=`` in :func:`summarize`: exactly the
-#: merge-capable families, whose shard summaries combine losslessly (see
-#: ``repro.parallel``).  The ladder methods are excluded because
-#: MIN-INCREMENT state is not mergeable (each GREEDY-INSERT level depends
-#: on its own segment's bucket boundaries).
-PARALLEL_METHODS = ("min-merge", "pwl-min-merge")
+ALGORITHM_REGISTRY = {name: _registry_builder(name) for name in _METHOD_SPECS}
 
 
 def __getattr__(name: str):
@@ -468,37 +526,9 @@ def summarize(
             )
         summary = _construct_summary_class(method, values, buckets, epsilon)
         return _run_attached(method.__name__, summary, values, buckets)
-    spec = _METHOD_SPECS.get(method)
     if window is not None:
-        if spec is None or spec.windowed_cls is None:
-            windowed = [
-                name
-                for name, s in _METHOD_SPECS.items()
-                if s.windowed_cls is not None
-            ]
-            raise InvalidParameterError(
-                f"method {method!r} has no sliding-window variant; "
-                f"window= is supported for: {', '.join(windowed)}"
-            )
-        summary = build_summary(
-            method,
-            buckets=buckets,
-            epsilon=epsilon,
-            universe=_universe_for(values),
-            window=window,
-        )
-        hist = _run_attached(method, summary, values, buckets)
-        return hist.with_meta(
-            HistogramMeta(
-                method=method,
-                buckets=len(hist),
-                requested_buckets=buckets,
-                error=hist.error,
-                items_seen=len(values),
-                window=window,
-                epsilon=epsilon,
-            )
-        )
+        _check_windowed(method)
+        return _oneshot(method, values, buckets, epsilon, window=window)
     builder = ALGORITHM_REGISTRY.get(method)
     if builder is None:
         raise InvalidParameterError(
@@ -508,6 +538,7 @@ def summarize(
     hist = builder(values, buckets, epsilon)
     if hist.meta is not None:
         return hist
+    spec = _METHOD_SPECS.get(method)
     return hist.with_meta(
         HistogramMeta(
             method=method,
@@ -515,9 +546,7 @@ def summarize(
             requested_buckets=buckets,
             error=hist.error,
             items_seen=len(values),
-            epsilon=(
-                epsilon if spec is not None and spec.needs_universe else None
-            ),
+            epsilon=epsilon if spec is not None and spec.needs_universe else None,
         )
     )
 

@@ -29,6 +29,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.api import PARALLEL_METHODS
 from repro.data.datasets import dataset_by_name, list_datasets
 from repro.harness import experiments
 from repro.harness.reporting import render_metrics, render_series
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parallel.add_argument(
         "--method",
         default="min-merge",
-        choices=("min-merge", "pwl-min-merge"),
+        choices=PARALLEL_METHODS,
         help="merge-capable method to shard",
     )
     parallel.add_argument("-B", "--buckets", type=int, default=32)

@@ -22,10 +22,14 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.core.histogram import Histogram
 from repro.exceptions import InvalidParameterError
-from repro.harness.runner import make_algorithm
+from repro.harness.runner import ALGORITHM_NAMES, make_algorithm
 from repro.metrics.errors import series_linf_distance
 from repro.observability.hooks import SummaryMetrics, resolve_metrics
 from repro.parallel.executor import map_tasks
+
+
+#: Harness algorithm names a fleet can hold: every one but ``rehist``.
+_FLEET_ALGORITHMS = tuple(name for name in ALGORITHM_NAMES if name != "rehist")
 
 
 class FleetStreamHandle:
@@ -83,7 +87,9 @@ class StreamFleet:
     buckets, epsilon, universe:
         Shared summary configuration (see :func:`make_algorithm`).
     algorithm:
-        Registry name of the summary type (default ``"min-merge"``).
+        Harness name of the summary type (default ``"min-merge"``): any
+        :func:`~repro.harness.runner.make_algorithm` name but ``"rehist"``,
+        whose histograms need the raw values.
     window:
         Window length for the sliding-window algorithms.
     metrics:
@@ -113,6 +119,12 @@ class StreamFleet:
         window: Optional[int] = None,
         metrics=None,
     ):
+        if algorithm not in _FLEET_ALGORITHMS:
+            raise InvalidParameterError(
+                f"algorithm {algorithm!r} cannot back a fleet stream; "
+                f"fleet algorithms: {', '.join(_FLEET_ALGORITHMS)} "
+                "(rehist builds histograms only from the raw values)"
+            )
         self._config = {
             "buckets": buckets,
             "epsilon": epsilon,

@@ -16,90 +16,29 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
+from repro.api import _construct
 from repro.baselines.rehist import RehistHistogram
 from repro.core.batch import as_batch_array
-from repro.core.min_increment import MinIncrementHistogram
-from repro.core.min_merge import MinMergeHistogram
-from repro.core.pwl_min_increment import PwlMinIncrementHistogram
-from repro.core.pwl_min_merge import PwlMinMergeHistogram
-from repro.core.sliding_window import SlidingWindowMinIncrement
-from repro.core.sliding_window_pwl import SlidingWindowPwlMinIncrement
 from repro.exceptions import InvalidParameterError
 
-def _need_window(cfg: dict, name: str) -> int:
-    if cfg["window"] is None:
-        raise InvalidParameterError(
-            f"the {name} algorithm needs a window length"
-        )
-    return cfg["window"]
-
-
-def _make_min_merge(cfg):
-    return MinMergeHistogram(buckets=cfg["buckets"], metrics=cfg["metrics"])
-
-
-def _make_min_increment(cfg):
-    return MinIncrementHistogram(
-        buckets=cfg["buckets"], epsilon=cfg["epsilon"],
-        universe=cfg["universe"], metrics=cfg["metrics"],
-    )
-
-
-def _make_rehist(cfg):
-    return RehistHistogram(
-        buckets=cfg["buckets"], epsilon=cfg["epsilon"],
-        universe=cfg["universe"], metrics=cfg["metrics"],
-    )
-
-
-def _make_pwl_min_merge(cfg):
-    return PwlMinMergeHistogram(
-        buckets=cfg["buckets"], hull_epsilon=cfg["hull_epsilon"],
-        metrics=cfg["metrics"],
-    )
-
-
-def _make_pwl_min_increment(cfg):
-    return PwlMinIncrementHistogram(
-        buckets=cfg["buckets"], epsilon=cfg["epsilon"],
-        universe=cfg["universe"], hull_epsilon=cfg["hull_epsilon"],
-        metrics=cfg["metrics"],
-    )
-
-
-def _make_sliding_window(cfg):
-    return SlidingWindowMinIncrement(
-        buckets=cfg["buckets"], epsilon=cfg["epsilon"],
-        universe=cfg["universe"],
-        window=_need_window(cfg, "sliding-window"), metrics=cfg["metrics"],
-    )
-
-
-def _make_sliding_window_pwl(cfg):
-    return SlidingWindowPwlMinIncrement(
-        buckets=cfg["buckets"], epsilon=cfg["epsilon"],
-        universe=cfg["universe"],
-        window=_need_window(cfg, "sliding-window-pwl"),
-        hull_epsilon=cfg["hull_epsilon"], metrics=cfg["metrics"],
-    )
-
-
-#: Registry mapping algorithm names to summary factories.  Each factory
-#: receives the normalized configuration dict of :func:`make_algorithm`.
-ALGORITHM_FACTORIES = {
-    "min-merge": _make_min_merge,
-    "min-increment": _make_min_increment,
-    "rehist": _make_rehist,
-    "pwl-min-merge": _make_pwl_min_merge,
-    "pwl-min-increment": _make_pwl_min_increment,
-    "sliding-window": _make_sliding_window,
-    "sliding-window-pwl": _make_sliding_window_pwl,
+#: Harness algorithm names and the ``(method, windowed)`` entry of the
+#: method table (:mod:`repro.api`) each builds.  ``rehist`` is the one
+#: harness-only entry (``None``): its ``histogram()`` needs the raw
+#: values, so it is not a streaming summary.
+_ALGORITHMS = {
+    "min-merge": ("min-merge", False),
+    "min-increment": ("min-increment", False),
+    "rehist": None,
+    "pwl-min-merge": ("pwl-min-merge", False),
+    "pwl-min-increment": ("pwl", False),
+    "sliding-window": ("min-increment", True),
+    "sliding-window-pwl": ("pwl", True),
 }
 
 #: Algorithm registry names accepted by :func:`make_algorithm`.
-ALGORITHM_NAMES = tuple(ALGORITHM_FACTORIES)
+ALGORITHM_NAMES = tuple(_ALGORITHMS)
 
 
 @dataclass(frozen=True)
@@ -141,21 +80,30 @@ def make_algorithm(
     :class:`~repro.observability.SummaryMetrics`; see
     ``docs/OBSERVABILITY.md``).
     """
-    factory = ALGORITHM_FACTORIES.get(name)
-    if factory is None:
+    if name not in _ALGORITHMS:
         known = ", ".join(ALGORITHM_NAMES)
         raise InvalidParameterError(
             f"unknown algorithm {name!r}; known algorithms: {known}"
         )
-    cfg = {
-        "buckets": buckets,
-        "epsilon": epsilon,
-        "universe": universe,
-        "window": window,
-        "hull_epsilon": hull_epsilon,
-        "metrics": metrics,
-    }
-    return factory(cfg)
+    if name == "rehist":
+        return RehistHistogram(
+            buckets=buckets, epsilon=epsilon, universe=universe,
+            metrics=metrics,
+        )
+    method, windowed = _ALGORITHMS[name]
+    if windowed and window is None:
+        raise InvalidParameterError(
+            f"the {name} algorithm needs a window length"
+        )
+    return _construct(
+        method,
+        buckets=buckets,
+        epsilon=epsilon,
+        universe=universe,
+        window=window if windowed else None,
+        hull_epsilon=hull_epsilon,
+        metrics=metrics,
+    )
 
 
 def run_stream(
@@ -196,40 +144,3 @@ def run_stream(
             summary_metrics.snapshot() if summary_metrics is not None else None
         ),
     )
-
-
-def run_streams(
-    jobs: Sequence[Mapping],
-    *,
-    workers: Union[None, int, str] = None,
-) -> list:
-    """Run a grid of independent ``(algorithm config, stream)`` jobs.
-
-    Each job is a mapping with a ``"values"`` sequence, an ``"algorithm"``
-    registry name, optionally a ``"name"`` label for the result row, and
-    any :func:`make_algorithm` keyword (``buckets``, ``epsilon``,
-    ``universe``, ``window``, ``hull_epsilon``, ``metrics``).  Every job
-    builds its own summary, so the grid rows are independent and can be
-    dispatched across a thread pool: ``workers=None`` (default) stays
-    serial, an int pins the pool size, ``"auto"`` sizes to the CPU count.
-    Results come back as :class:`RunResult` rows in job order for every
-    ``workers`` setting.
-
-    Wall-clock ``seconds`` of individual rows measure the summary's own
-    ingest work; under a thread pool concurrent rows share cores (and,
-    for pure-Python ingest paths, the GIL), so per-row timings are only
-    comparable within a single ``workers`` setting.
-    """
-    # Imported here, not at module top: repro.parallel imports the
-    # aggregation layer, which plain run_stream() callers never need.
-    from repro.parallel.executor import map_tasks
-
-    def _run_job(job: Mapping) -> RunResult:
-        cfg = dict(job)
-        values = cfg.pop("values")
-        algorithm = cfg.pop("algorithm")
-        label = cfg.pop("name", algorithm)
-        summary = make_algorithm(algorithm, **cfg)
-        return run_stream(summary, values, name=label)
-
-    return map_tasks(_run_job, list(jobs), workers=workers)

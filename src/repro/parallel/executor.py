@@ -72,12 +72,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.api import _METHOD_SPECS, PARALLEL_METHODS, _construct
 from repro.core.aggregation import merge_min_merge_summaries, merge_pwl_summaries
 from repro.core.batch import as_batch_array
 from repro.core.bucket import Bucket
 from repro.core.interface import DEFAULT_HULL_EPSILON
-from repro.core.min_merge import MinMergeHistogram
-from repro.core.pwl_min_merge import PwlMinMergeHistogram
 from repro.exceptions import InjectedFaultError, InvalidParameterError
 from repro.observability.hooks import resolve_metrics
 from repro.parallel.plan import ShardPlan
@@ -93,8 +92,9 @@ __all__ = [
     "summarize_parallel",
 ]
 
-#: Methods whose summaries can be shard-ingested and merged losslessly.
-MERGEABLE_METHODS = ("min-merge", "pwl-min-merge")
+#: Methods whose summaries can be shard-ingested and merged losslessly
+#: (the same tuple as :data:`repro.api.PARALLEL_METHODS`).
+MERGEABLE_METHODS = PARALLEL_METHODS
 
 #: Per-method "auto" sizing cut-off: a shard below this many items cannot
 #: amortize worker dispatch, so auto sizing stays serial / uses fewer
@@ -166,9 +166,8 @@ def resolve_workers(
 def map_tasks(fn, tasks: Sequence, *, workers: Union[None, int, str] = None) -> list:
     """Run independent tasks, optionally on a thread pool; order preserved.
 
-    The dispatch primitive shared by :meth:`StreamFleet.extend_rows` and
-    the harness grid (:func:`repro.harness.runner.run_streams`): ``fn`` is
-    applied to every task and the results are returned in task order.
+    The dispatch primitive behind :meth:`StreamFleet.extend_rows`: ``fn``
+    is applied to every task and the results are returned in task order.
     ``workers=None``/``1`` runs inline; ``"auto"`` uses one thread per task
     up to the CPU count.
     """
@@ -192,19 +191,13 @@ def map_tasks(fn, tasks: Sequence, *, workers: Union[None, int, str] = None) -> 
 
 def _make_summary(spec: dict, metrics, start: int):
     """A fresh summary of the right family, indexing from ``start``."""
-    if spec["method"] == "min-merge":
-        summary = MinMergeHistogram(
-            buckets=spec["buckets"],
-            working_buckets=spec["working_buckets"],
-            metrics=metrics,
-        )
-    else:
-        summary = PwlMinMergeHistogram(
-            buckets=spec["buckets"],
-            working_buckets=spec["working_buckets"],
-            hull_epsilon=spec["hull_epsilon"],
-            metrics=metrics,
-        )
+    summary = _construct(
+        spec["method"],
+        buckets=spec["buckets"],
+        working_buckets=spec["working_buckets"],
+        hull_epsilon=spec["hull_epsilon"],
+        metrics=metrics,
+    )
     # Shards share the stream's global index space, so the merge operator
     # can verify contiguity instead of being told to reindex.
     summary._n = start
@@ -229,12 +222,12 @@ def _shard_payload(summary, spec: dict, start: int) -> tuple:
     counters = (
         summary.metrics.counter_totals() if summary.metrics is not None else None
     )
-    if spec["method"] == "min-merge":
+    if spec["pwl"]:
+        buckets = summary.buckets_snapshot()
+    else:
         buckets = [
             (b.beg, b.end, b.min, b.max) for b in summary.buckets_snapshot()
         ]
-    else:
-        buckets = summary.buckets_snapshot()
     return buckets, count, counters
 
 
@@ -242,7 +235,7 @@ def _rebuild_child(payload: tuple, spec: dict):
     """Parent-side inverse of :func:`_shard_payload`."""
     buckets, count, counters = payload
     summary = _build_shard_summary(spec, 0)
-    if spec["method"] == "min-merge":
+    if not spec["pwl"]:
         buckets = [Bucket(*item) for item in buckets]
     summary.adopt_buckets(buckets, count=count)
     if counters is not None:
@@ -389,6 +382,7 @@ class ParallelSummarizer:
         self._metrics = resolve_metrics(metrics)
         self._spec = {
             "method": method,
+            "pwl": _METHOD_SPECS[method].pwl,
             "buckets": buckets,
             "working_buckets": working_buckets,
             "hull_epsilon": hull_epsilon,
@@ -400,9 +394,9 @@ class ParallelSummarizer:
     @property
     def merge(self):
         """The aggregation merge operator for this method."""
-        if self.method == "min-merge":
-            return merge_min_merge_summaries
-        return merge_pwl_summaries
+        if self._spec["pwl"]:
+            return merge_pwl_summaries
+        return merge_min_merge_summaries
 
     def plan(self, total: int) -> ShardPlan:
         """The shard plan ``summarize`` would use for ``total`` items."""

@@ -16,8 +16,8 @@ For one (scenario, method) pair the matrix runs every applicable cell --
    schedule computed without a pool) -- the parallel path may legally
    differ from single-pass serial (a different, equally valid merge
    order), but never from its own reference;
-3. **bounded error everywhere**: every cell's realized error respects
-   the method's guarantee against the exact offline oracle
+3. **bounded error everywhere**: every cell's realized error and bucket
+   count respect the method's guarantee against the exact offline oracle
    (:func:`repro.offline.optimal.optimal_error`, cross-validated in the
    test suite against the independent O(n^2 B) DP).
 
@@ -36,11 +36,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api import PARALLEL_METHODS, build_summary
+from repro.api import PARALLEL_METHODS, build_summary, guarantee_bounds
 from repro.exceptions import ReproError
 from repro.offline.optimal import optimal_error
 from repro.scenarios.generate import generate, schedules
-from repro.scenarios.runner import _GUARANTEES, _TOLERANCE, ScenarioRunner
+from repro.scenarios.runner import _TOLERANCE, ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
 
 #: Worker count of the parallel conformance cells.
@@ -156,8 +156,12 @@ def run_conformance(
     result = ConformanceResult(scenario=spec.name, method=method)
     streams = generate(spec)
     stream_schedules = schedules(spec)
-    factor, _ = _GUARANTEES.get(method, (None, 2))
-    factor = (1.0 + spec.epsilon) if factor is None else factor
+    bounds = guarantee_bounds(
+        method,
+        buckets=spec.buckets,
+        epsilon=spec.epsilon,
+        windowed=spec.window is not None,
+    )
 
     for name, values in streams.items():
         cells: Dict[str, Fingerprint] = {}
@@ -166,12 +170,12 @@ def run_conformance(
             cell = f"serial/{ingest}"
             hist = _run_serial(spec, method, ingest, values, schedule)
             cells[cell] = Fingerprint.of(hist)
-            _check_bound(result, spec, name, cell, hist, values, factor)
+            _check_bound(result, spec, name, cell, hist, values, bounds)
         if parallel and method in PARALLEL_METHODS and spec.window is None:
             live, ref = _run_parallel(spec, method, values)
             cells["parallel/pool"] = Fingerprint.of(live)
             cells["parallel/reference"] = Fingerprint.of(ref)
-            _check_bound(result, spec, name, "parallel/pool", live, values, factor)
+            _check_bound(result, spec, name, "parallel/pool", live, values, bounds)
         result.cells[name] = cells
         _check_identity(result, name, cells)
 
@@ -194,8 +198,14 @@ def _check_bound(
     cell: str,
     hist,
     values: np.ndarray,
-    factor: float,
+    bounds: Tuple[float, int],
 ) -> None:
+    factor, bucket_limit = bounds
+    if len(hist) > bucket_limit:
+        result.mismatches.append(
+            f"{stream} [{cell}]: {len(hist)} buckets exceed the bound of "
+            f"{bucket_limit}"
+        )
     covered = values[hist.beg : hist.end + 1].tolist()
     oracle = result.oracles.get(stream)
     if oracle is None or spec.window is not None:

@@ -15,9 +15,10 @@ of two targets:
 
 Either way the result is a :class:`ScenarioReport`: per-stream error
 verified against the exact offline oracle
-(:func:`repro.offline.optimal.optimal_error`), the method's theoretical
-bound checked, accounted memory, throughput, and per-batch append
-latency percentiles reusing the load harness's
+(:func:`repro.offline.optimal.optimal_error`), both halves of the
+method's theorem checked (error factor and bucket limit, from
+:func:`repro.api.guarantee_bounds`), accounted memory, throughput, and
+per-batch append latency percentiles reusing the load harness's
 :func:`~repro.loadgen.summarize_latencies`.
 
 Scenarios with a non-empty ``faults`` table additionally run the
@@ -37,23 +38,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api import PARALLEL_METHODS, build_summary, streaming_methods
+from repro.api import (
+    PARALLEL_METHODS,
+    build_summary,
+    guarantee_bounds,
+    streaming_methods,
+)
 from repro.exceptions import InjectedFaultError, InvalidParameterError
 from repro.loadgen import LatencySummary, summarize_latencies
 from repro.offline.optimal import optimal_error
 from repro.scenarios.generate import generate, schedules
 from repro.scenarios.spec import ScenarioSpec
-
-#: Per-method (error-factor, bucket-factor) guarantees the report checks:
-#: realized error <= factor * optimal B-bucket error, buckets used <=
-#: bucket_factor * B.  The (1, 2) merge family trades buckets for
-#: exactness; the (1+eps, 1) ladder family trades error for buckets.
-_GUARANTEES = {
-    "min-merge": (1.0, 2),
-    "pwl-min-merge": (1.0, 2),
-    "min-increment": (None, 1),  # None: 1 + spec.epsilon
-    "pwl": (None, 1),
-}
 
 #: Numerical slack for the bound checks (float accumulation only; the
 #: guarantees themselves are exact).
@@ -401,8 +396,14 @@ class ScenarioRunner:
         covered = run.values[hist.beg : hist.end + 1].tolist()
         oracle = optimal_error(covered, spec.buckets)
         true_error = hist.max_error_against(covered)
-        factor, _bucket_factor = _GUARANTEES.get(method, (None, 2))
-        factor = (1.0 + spec.epsilon) if factor is None else factor
+        # The method's theorem, both halves: realized error <= factor *
+        # optimal B-bucket error, and at most bucket_limit buckets.
+        factor, bucket_limit = guarantee_bounds(
+            method,
+            buckets=spec.buckets,
+            epsilon=spec.epsilon,
+            windowed=spec.window is not None,
+        )
         bound = factor * oracle + _TOLERANCE
         return StreamReport(
             stream=run.name,
@@ -413,7 +414,7 @@ class ScenarioRunner:
             true_error=true_error,
             oracle_error=oracle,
             error_bound=bound,
-            bound_ok=true_error <= bound,
+            bound_ok=true_error <= bound and len(hist) <= bucket_limit,
             memory_bytes=run.memory_bytes,
             elapsed_seconds=run.elapsed,
             append=summarize_latencies(run.append_seconds),

@@ -56,6 +56,12 @@ class TestStreamManagement:
         with pytest.raises(InvalidParameterError):
             StreamFleet(buckets=4, algorithm="t-digest")
 
+    def test_rehist_rejected_at_construction(self):
+        # Its histogram() needs the raw values, so every fleet query would
+        # fail; the error names the algorithms a fleet can hold.
+        with pytest.raises(InvalidParameterError, match="sliding-window-pwl"):
+            StreamFleet(buckets=4, algorithm="rehist")
+
     def test_sliding_window_algorithm(self):
         fleet = StreamFleet(buckets=4, algorithm="sliding-window", window=16)
         fleet.extend("a", range(100))

@@ -10,7 +10,6 @@ from repro.core.aggregation import merge_min_merge_summaries
 from repro.core.min_merge import MinMergeHistogram
 from repro.exceptions import InvalidParameterError
 from repro.fleet import StreamFleet
-from repro.harness.runner import run_streams
 from repro.offline.optimal import optimal_error
 from repro.parallel import (
     ParallelSummarizer,
@@ -311,24 +310,3 @@ class TestFleetExtendRows:
         assert fleet.items_seen == 3 * 120
         totals = fleet.metrics.counter_totals()
         assert totals["inserts"] == 3 * 120
-
-
-class TestRunStreams:
-    def test_grid_runs_in_job_order(self):
-        values = [int(v) for v in _stream(1_000, seed=16)]
-        jobs = [
-            {"values": values, "algorithm": "min-merge", "buckets": 8,
-             "name": "mm8"},
-            {"values": values, "algorithm": "min-merge", "buckets": 4,
-             "name": "mm4"},
-            {"values": values, "algorithm": "min-increment", "buckets": 8,
-             "universe": 1 << 10, "name": "mi8"},
-        ]
-        serial = run_streams(jobs)
-        pooled = run_streams(jobs, workers=2)
-        assert [r.algorithm for r in serial] == ["mm8", "mm4", "mi8"]
-        assert [r.algorithm for r in pooled] == ["mm8", "mm4", "mi8"]
-        for lhs, rhs in zip(serial, pooled):
-            assert lhs.error == rhs.error
-            assert lhs.buckets == rhs.buckets
-            assert lhs.items == rhs.items

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.histogram import Histogram, Segment
 from repro.data import SeedLike, brownian_walk, uniform_noise
 from repro.exceptions import InvalidParameterError
 from repro.scenarios import (
@@ -374,6 +375,71 @@ class TestRunner:
         windowed = load_bundled("out-of-order-window")
         with pytest.raises(InvalidParameterError):
             run_scenario(windowed, "min-merge", workers=2)
+
+
+class _OneBucketPerValue:
+    """An exact summary that spends one bucket per value: its error is 0,
+    so only the bucket half of a guarantee can catch it."""
+
+    def __init__(self, *args, **kwargs):
+        self.values = []
+
+    def insert(self, value):
+        self.values.append(value)
+
+    def extend(self, values):
+        self.values.extend(np.asarray(values).tolist())
+
+    def memory_bytes(self):
+        return 0
+
+    def histogram(self):
+        return Histogram(
+            [Segment(i, i, v, v) for i, v in enumerate(self.values)], 0.0
+        )
+
+
+class TestBucketBound:
+    def test_guarantee_bounds_read_from_the_table(self):
+        from repro.api import guarantee_bounds
+
+        assert guarantee_bounds("min-merge", buckets=8, epsilon=0.1) == (1.0, 16)
+        assert guarantee_bounds("pwl-min-merge", buckets=8, epsilon=0.1) == (
+            1.0, 16,
+        )
+        assert guarantee_bounds("min-increment", buckets=8, epsilon=0.1) == (
+            1.1, 8,
+        )
+        assert guarantee_bounds("pwl", buckets=8, epsilon=0.25) == (1.25, 8)
+        # Theorem 5: (1 + eps, 1 + 1/B) for a sliding window.
+        for method in ("min-increment", "pwl"):
+            assert guarantee_bounds(
+                method, buckets=8, epsilon=0.1, windowed=True
+            ) == (1.1, 9)
+
+    def test_report_fails_a_histogram_over_the_bucket_bound(self, monkeypatch):
+        import repro.scenarios.runner as runner
+
+        monkeypatch.setattr(runner, "build_summary", _OneBucketPerValue)
+        spec = load_bundled("steady-brownian").with_overrides(length=256)
+        (stream,) = run_scenario(spec, "min-increment").streams
+        assert stream.true_error <= stream.error_bound
+        assert stream.buckets_used == 256 > spec.buckets
+        assert stream.bound_ok is False
+
+    def test_conformance_reports_a_histogram_over_the_bucket_bound(
+        self, monkeypatch
+    ):
+        import repro.scenarios.conformance as conformance
+
+        monkeypatch.setattr(conformance, "build_summary", _OneBucketPerValue)
+        spec = load_bundled("steady-brownian").with_overrides(length=256)
+        result = run_conformance(spec, "min-increment")
+        assert not result.ok
+        assert any(
+            f"256 buckets exceed the bound of {spec.buckets}" in line
+            for line in result.mismatches
+        )
 
 
 # -- differential conformance -------------------------------------------------
