@@ -46,14 +46,8 @@ from repro.core.pwl_min_increment import (
     PwlMinIncrementHistogram,
 )
 from repro.core.pwl_min_merge import PwlMinMergeHistogram
-from repro.core.sliding_window import (
-    SlidingWindowMinIncrement,
-    _WindowedGreedySummary,
-)
-from repro.core.sliding_window_pwl import (
-    SlidingWindowPwlMinIncrement,
-    _WindowedPwlGreedySummary,
-)
+from repro.core.sliding_window import SlidingWindowMinIncrement
+from repro.core.sliding_window_pwl import SlidingWindowPwlMinIncrement
 from repro.exceptions import (
     InvalidParameterError,
     UnsupportedCheckpointError,
@@ -114,10 +108,8 @@ def state_dict(summary) -> dict:
         return _pwl_min_merge_state(summary)
     if isinstance(summary, PwlMinIncrementHistogram):
         return _pwl_min_increment_state(summary)
-    if isinstance(summary, SlidingWindowMinIncrement):
-        return _sliding_window_state(summary)
-    if isinstance(summary, SlidingWindowPwlMinIncrement):
-        return _sliding_window_pwl_state(summary)
+    if isinstance(summary, (SlidingWindowMinIncrement, SlidingWindowPwlMinIncrement)):
+        return _windowed_state(summary)
     if isinstance(summary, GreedyInsertSummary):
         return {"kind": "greedy-insert", **_greedy_state(summary)}
     if isinstance(summary, StreamFleet):
@@ -140,8 +132,8 @@ def restore(state: dict):
         "rehist": _restore_rehist,
         "pwl-min-merge": _restore_pwl_min_merge,
         "pwl-min-increment": _restore_pwl_min_increment,
-        "sliding-window": _restore_sliding_window,
-        "sliding-window-pwl": _restore_sliding_window_pwl,
+        "sliding-window": _restore_windowed,
+        "sliding-window-pwl": _restore_windowed,
         "greedy-insert": _restore_greedy,
         "fleet": _restore_fleet,
     }
@@ -202,16 +194,16 @@ def _restore_min_merge(state: dict) -> MinMergeHistogram:
 def _greedy_state(greedy: GreedyInsertSummary) -> dict:
     return {
         "target_error": greedy.target_error,
-        "closed": [_bucket_tuple(b) for b in greedy._closed],
-        "open": _bucket_tuple(greedy._open) if greedy._open is not None else None,
+        "closed": [_bucket_tuple(b) for b in greedy.closed],
+        "open": _bucket_tuple(greedy.open) if greedy.open is not None else None,
         "next_index": greedy._next_index,
     }
 
 
 def _restore_greedy(data: dict) -> GreedyInsertSummary:
     greedy = GreedyInsertSummary(data["target_error"])
-    greedy._closed = [Bucket(*item) for item in data["closed"]]
-    greedy._open = Bucket(*data["open"]) if data["open"] is not None else None
+    greedy.closed = [Bucket(*item) for item in data["closed"]]
+    greedy.open = Bucket(*data["open"]) if data["open"] is not None else None
     greedy._next_index = data["next_index"]
     return greedy
 
@@ -412,91 +404,45 @@ def _restore_pwl_min_increment(state: dict) -> PwlMinIncrementHistogram:
 # -- sliding window -----------------------------------------------------------------
 
 
-def _windowed_state(level: _WindowedGreedySummary) -> dict:
+def _windowed_state(summary) -> dict:
+    pwl = isinstance(summary, SlidingWindowPwlMinIncrement)
+    level_state = _pwl_greedy_state if pwl else _greedy_state
     return {
-        "target_error": level.target_error,
-        "closed": [_bucket_tuple(b) for b in level.closed],
-        "open": _bucket_tuple(level.open) if level.open is not None else None,
-    }
-
-
-def _sliding_window_state(summary: SlidingWindowMinIncrement) -> dict:
-    return {
-        "kind": "sliding-window",
+        "kind": "sliding-window-pwl" if pwl else "sliding-window",
         "buckets": summary.target_buckets,
         "epsilon": summary.epsilon,
         "universe": summary.universe,
         "window": summary.window,
+        **({"hull_epsilon": summary.hull_epsilon} if pwl else {}),
         "include_zero": summary.ladder[0] == 0.0,
         "items_seen": summary.items_seen,
-        "levels": [_windowed_state(level) for level in summary._summaries],
+        # Every level's next index is items_seen, so it is not written.
+        "levels": [
+            {k: v for k, v in level_state(level).items() if k != "next_index"}
+            for level in summary._summaries
+        ],
     }
 
 
-def _restore_sliding_window(state: dict) -> SlidingWindowMinIncrement:
-    summary = SlidingWindowMinIncrement(
+def _restore_windowed(state: dict):
+    pwl = state["kind"] == "sliding-window-pwl"
+    cls = SlidingWindowPwlMinIncrement if pwl else SlidingWindowMinIncrement
+    summary = cls(
         buckets=state["buckets"],
         epsilon=state["epsilon"],
         universe=state["universe"],
         window=state["window"],
         include_zero_level=state["include_zero"],
+        **({"hull_epsilon": state["hull_epsilon"]} if pwl else {}),
     )
-    summary._n = state["items_seen"]
-    levels = []
-    for data in state["levels"]:
-        level = _WindowedGreedySummary(data["target_error"])
-        level.closed.extend(Bucket(*item) for item in data["closed"])
-        level.open = Bucket(*data["open"]) if data["open"] is not None else None
-        levels.append(level)
-    summary._summaries = levels
-    return summary
-
-
-def _windowed_pwl_state(level: _WindowedPwlGreedySummary) -> dict:
-    return {
-        "target_error": level.target_error,
-        "closed": [_closed_pwl_tuple(b) for b in level.closed],
-        "open": level.open.to_state() if level.open is not None else None,
-    }
-
-
-def _sliding_window_pwl_state(summary: SlidingWindowPwlMinIncrement) -> dict:
-    return {
-        "kind": "sliding-window-pwl",
-        "buckets": summary.target_buckets,
-        "epsilon": summary.epsilon,
-        "universe": summary.universe,
-        "window": summary.window,
-        "hull_epsilon": summary.hull_epsilon,
-        "include_zero": summary.ladder[0] == 0.0,
-        "items_seen": summary.items_seen,
-        "levels": [_windowed_pwl_state(level) for level in summary._summaries],
-    }
-
-
-def _restore_sliding_window_pwl(state: dict) -> SlidingWindowPwlMinIncrement:
-    summary = SlidingWindowPwlMinIncrement(
-        buckets=state["buckets"],
-        epsilon=state["epsilon"],
-        universe=state["universe"],
-        window=state["window"],
-        hull_epsilon=state["hull_epsilon"],
-        include_zero_level=state["include_zero"],
-    )
-    summary._n = state["items_seen"]
-    levels = []
-    for data in state["levels"]:
-        level = _WindowedPwlGreedySummary(
-            data["target_error"], summary.hull_epsilon
-        )
-        level.closed.extend(_closed_pwl_from(item) for item in data["closed"])
-        level.open = (
-            PwlBucket.from_state(data["open"])
-            if data["open"] is not None
-            else None
-        )
-        levels.append(level)
-    summary._summaries = levels
+    n = summary._n = state["items_seen"]
+    levels = [{**data, "next_index": n} for data in state["levels"]]
+    if pwl:
+        summary._summaries = [
+            _restore_pwl_greedy(data, summary.hull_epsilon) for data in levels
+        ]
+    else:
+        summary._summaries = [_restore_greedy(data) for data in levels]
     return summary
 
 
@@ -518,6 +464,14 @@ def _fleet_state(fleet: StreamFleet) -> dict:
 
 
 def _restore_fleet(state: dict) -> StreamFleet:
+    if state["algorithm"] == "rehist":
+        # Older versions built such fleets, although none of their queries
+        # could run: REHIST answers only from the raw values.
+        raise UnsupportedCheckpointError(
+            "rehist fleet checkpoints are no longer restorable: a fleet "
+            "cannot hold rehist streams, because rehist builds histograms "
+            "only from the raw values"
+        )
     config = state["config"]
     fleet = StreamFleet(
         buckets=config["buckets"],

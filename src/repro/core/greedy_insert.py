@@ -36,7 +36,7 @@ class GreedyInsertSummary:
         (0 for full-stream use).
     """
 
-    __slots__ = ("target_error", "_closed", "_open", "_next_index", "_model")
+    __slots__ = ("target_error", "closed", "open", "_next_index", "_model")
 
     def __init__(
         self,
@@ -50,8 +50,8 @@ class GreedyInsertSummary:
                 f"target_error must be >= 0, got {target_error}"
             )
         self.target_error = target_error
-        self._closed: list[Bucket] = []
-        self._open: Optional[Bucket] = None
+        self.closed: list[Bucket] = []
+        self.open: Optional[Bucket] = None
         self._next_index = start_index
         self._model = memory_model
 
@@ -59,13 +59,13 @@ class GreedyInsertSummary:
 
     def insert(self, value) -> None:
         """GREEDY-INSERT one value."""
-        if self._open is None:
-            self._open = Bucket.singleton(self._next_index, value)
-        elif self._open.would_extend_error(value) <= self.target_error:
-            self._open.extend(value)
+        if self.open is None:
+            self.open = Bucket.singleton(self._next_index, value)
+        elif self.open.would_extend_error(value) <= self.target_error:
+            self.open.extend(value)
         else:
-            self._closed.append(self._open)
-            self._open = Bucket.singleton(self._next_index, value)
+            self.closed.append(self.open)
+            self.open = Bucket.singleton(self._next_index, value)
         self._next_index += 1
 
     def extend(self, values: Iterable) -> None:
@@ -82,11 +82,11 @@ class GreedyInsertSummary:
             return
         for off in range(0, len(arr), MAX_WINDOW):
             chunk = arr[off : off + MAX_WINDOW]
-            self._open, _ = greedy_chunk(
+            self.open, _ = greedy_chunk(
                 chunk,
                 self._next_index,
-                self._open,
-                self._closed.append,
+                self.open,
+                self.closed.append,
                 self.target_error,
             )
             self._next_index += len(chunk)
@@ -96,8 +96,8 @@ class GreedyInsertSummary:
     @property
     def items_seen(self) -> int:
         """Number of stream values processed (relative to start_index)."""
-        first = self._closed[0].beg if self._closed else (
-            self._open.beg if self._open is not None else self._next_index
+        first = self.closed[0].beg if self.closed else (
+            self.open.beg if self.open is not None else self._next_index
         )
         return self._next_index - first
 
@@ -111,13 +111,13 @@ class GreedyInsertSummary:
     @property
     def bucket_count(self) -> int:
         """Buckets used so far, counting the open one."""
-        return len(self._closed) + (1 if self._open is not None else 0)
+        return len(self.closed) + (1 if self.open is not None else 0)
 
     def buckets_snapshot(self) -> list[Bucket]:
         """Copy of all buckets (closed plus open), in stream order."""
-        out = [Bucket(b.beg, b.end, b.min, b.max) for b in self._closed]
-        if self._open is not None:
-            b = self._open
+        out = [Bucket(b.beg, b.end, b.min, b.max) for b in self.closed]
+        if self.open is not None:
+            b = self.open
             out.append(Bucket(b.beg, b.end, b.min, b.max))
         return out
 
@@ -127,31 +127,34 @@ class GreedyInsertSummary:
         if self.bucket_count == 0:
             raise EmptySummaryError("no values inserted yet")
         worst = 0.0
-        for bucket in self._closed:
+        for bucket in self.closed:
             if bucket.error > worst:
                 worst = bucket.error
-        if self._open is not None and self._open.error > worst:
-            worst = self._open.error
+        if self.open is not None and self.open.error > worst:
+            worst = self.open.error
         return worst
 
     def histogram(self) -> Histogram:
         """The current piecewise-constant approximation."""
         if self.bucket_count == 0:
             raise EmptySummaryError("no values inserted yet")
-        buckets = self._closed
-        if self._open is not None:
-            buckets = buckets + [self._open]
+        buckets = self.closed
+        if self.open is not None:
+            buckets = buckets + [self.open]
         segments = []
         for b in buckets:
             mid = b.representative
             segments.append(Segment(b.beg, b.end, mid, mid))
         return Histogram(segments, self.error)
 
-    def memory_bytes(self) -> int:
-        """Accounted memory: closed buckets plus the open-bucket state."""
-        total = self._model.buckets(len(self._closed))
-        if self._open is not None:
-            total += self._model.open_buckets(1)
+    def memory_bytes(self, model: Optional[MemoryModel] = None) -> int:
+        """Accounted memory: closed buckets plus the open-bucket state,
+        under ``model`` (default: the constructor's ``memory_model``)."""
+        if model is None:
+            model = self._model
+        total = model.buckets(len(self.closed))
+        if self.open is not None:
+            total += model.open_buckets(1)
         return total
 
 

@@ -499,7 +499,7 @@ class MinIncrementHistogram:
         limit = self.target_buckets
         survivors = []
         for summary in levels:
-            open_ = summary._open
+            open_ = summary.open
             index = summary._next_index
             summary._next_index = index + 1
             if open_ is not None:
@@ -511,9 +511,9 @@ class MinIncrementHistogram:
                     open_.max = hi
                     survivors.append(summary)
                     continue
-                summary._closed.append(open_)
-            summary._open = Bucket(index, index, value, value)
-            if len(summary._closed) < limit or summary is top:
+                summary.closed.append(open_)
+            summary.open = Bucket(index, index, value, value)
+            if len(summary.closed) < limit or summary is top:
                 survivors.append(summary)
         self._summaries = survivors
         if observe:
@@ -536,7 +536,7 @@ class MinIncrementHistogram:
         if count:
             lo, hi = self._lo, self._hi
             for summary in self._summaries:
-                open_ = summary._open
+                open_ = summary.open
                 open_.end += count
                 if lo < open_.min:
                     open_.min = lo
@@ -579,7 +579,7 @@ class MinIncrementHistogram:
         least = _INF
         most = -_INF
         for summary in self._summaries[:-1]:
-            open_ = summary._open
+            open_ = summary.open
             omin, omax = open_.min, open_.max
             if type(omin) not in _EXACT_TYPES or type(omax) not in _EXACT_TYPES:
                 self._disarm()

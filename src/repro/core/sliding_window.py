@@ -19,19 +19,24 @@ A summary whose oldest bucket no longer reaches back to the window start is
 *incomplete* (it was trimmed recently) and cannot answer for the current
 window; at query time we use the smallest-error summary that covers the
 whole window with at most ``B + 1`` buckets.
+
+The levels are the plain GREEDY-INSERT summaries of the full-stream
+ladders (:class:`GreedyInsertSummary` here,
+:class:`~repro.core.pwl_min_increment.PwlGreedyInsertSummary` for the PWL
+window of :mod:`repro.core.sliding_window_pwl`); :class:`_WindowLadder`
+adds the window to them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from time import perf_counter
-from typing import Deque, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.batch import MAX_WINDOW, as_batch_array, greedy_chunk
-from repro.core.bucket import Bucket
+from repro.core.batch import MAX_WINDOW, as_batch_array
 from repro.core.error_ladder import ErrorLadder
+from repro.core.greedy_insert import GreedyInsertSummary
 from repro.core.histogram import Histogram, Segment
 from repro.exceptions import (
     DomainError,
@@ -42,87 +47,31 @@ from repro.memory.model import DEFAULT_MODEL, MemoryModel
 from repro.observability.hooks import SummaryMetrics, resolve_metrics
 
 
-class _WindowedGreedySummary:
-    """GREEDY-INSERT with the expiry and trim policies of Section 4.1."""
+def _evict(level, window_start: int, keep: int) -> int:
+    """Section 4.1's expiry and trim on one level, as one front deletion.
 
-    __slots__ = ("target_error", "closed", "open")
-
-    def __init__(self, target_error: float):
-        self.target_error = target_error
-        self.closed: Deque[Bucket] = deque()
-        self.open: Optional[Bucket] = None
-
-    def insert(self, index: int, value) -> None:
-        if self.open is None:
-            self.open = Bucket.singleton(index, value)
-        elif self.open.would_extend_error(value) <= self.target_error:
-            self.open.extend(value)
-        else:
-            self.closed.append(self.open)
-            self.open = Bucket.singleton(index, value)
-
-    def expire(self, window_start: int) -> int:
-        """Drop buckets entirely outside the window (end < window_start).
-
-        Returns the number of buckets dropped.
-        """
-        dropped = 0
-        while self.closed and self.closed[0].end < window_start:
-            self.closed.popleft()
-            dropped += 1
-        # The open bucket always ends at the newest item, inside the window.
-        return dropped
-
-    def trim_to(self, max_buckets: int) -> int:
-        """Drop oldest buckets until at most ``max_buckets`` remain.
-
-        Returns the number of buckets dropped.
-        """
-        dropped = 0
-        while self.bucket_count > max_buckets and self.closed:
-            self.closed.popleft()
-            dropped += 1
-        return dropped
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self.closed) + (1 if self.open is not None else 0)
-
-    def oldest_index(self) -> Optional[int]:
-        if self.closed:
-            return self.closed[0].beg
-        if self.open is not None:
-            return self.open.beg
-        return None
-
-    def buckets_snapshot(self) -> list[Bucket]:
-        out = [Bucket(b.beg, b.end, b.min, b.max) for b in self.closed]
-        if self.open is not None:
-            b = self.open
-            out.append(Bucket(b.beg, b.end, b.min, b.max))
-        return out
+    Drops the closed buckets that end before ``window_start`` and, oldest
+    first, as many more as leave at most ``keep`` closed (``B`` closed plus
+    the open one is the ``B + 1`` cap).  Both policies drop from the old
+    end, so their union is a prefix.  Returns the number dropped.
+    """
+    closed = level.closed
+    k = len(closed) - keep
+    if k < 0:
+        k = 0
+    while k < len(closed) and closed[k].end < window_start:
+        k += 1
+    if k:
+        del closed[:k]
+    return k
 
 
-class SlidingWindowMinIncrement:
-    """(1 + eps, 1 + 1/B)-approximate histogram over a sliding window.
+class _WindowLadder:
+    """One GREEDY-INSERT level per ladder error, kept to the last ``w`` items.
 
-    Parameters
-    ----------
-    buckets:
-        Target bucket count ``B``; answers use at most ``B + 1`` buckets.
-    epsilon:
-        Approximation parameter in (0, 1).
-    universe:
-        Size ``U`` of the integer value domain ``[0, U)``.
-    window:
-        Window length ``w >= 1``: queries describe the last ``w`` values.
-    memory_model:
-        Cost model used by :meth:`memory_bytes`.
-    metrics:
-        Opt-in instrumentation: ``True`` for a private registry, or a
-        shared :class:`~repro.observability.MetricsRegistry`; default off
-        (see ``docs/OBSERVABILITY.md``).  Expired and trimmed buckets are
-        counted as evictions.
+    Subclasses choose the level class (:meth:`_level`) and how a level
+    ingests a checked chunk (:meth:`_absorb`); ingest, expiry and trim,
+    the answer level, window clipping and memory accounting live here.
     """
 
     def __init__(
@@ -148,15 +97,25 @@ class SlidingWindowMinIncrement:
             epsilon, universe, include_zero_level=include_zero_level
         )
         self._model = memory_model
-        self._summaries = [
-            _WindowedGreedySummary(level) for level in self.ladder
-        ]
+        self._summaries = [self._level(level) for level in self.ladder]
         self._n = 0
         self._metrics = resolve_metrics(metrics)
         if self._metrics is not None:
             self._metrics.bind_gauges(self)
 
-    # -- ingestion ---------------------------------------------------------------
+    def _level(self, target_error: float):
+        """A fresh level for one ladder error."""
+        raise NotImplementedError
+
+    def _absorb(self, level, chunk: np.ndarray, items) -> None:
+        """GREEDY-INSERT one domain-checked chunk into ``level``.
+
+        ``chunk`` is the chunk as an array, ``items`` as the caller passed
+        it (a list or tuple slice, or the same array).
+        """
+        raise NotImplementedError
+
+    # -- ingestion -----------------------------------------------------------
 
     def insert(self, value) -> None:
         """Process the next stream value."""
@@ -164,37 +123,32 @@ class SlidingWindowMinIncrement:
             raise DomainError(
                 f"value {value!r} outside universe [0, {self.universe})"
             )
-        index = self._n
+        m = self._metrics
+        start = perf_counter() if m is not None else 0.0
         self._n += 1
         window_start = self.window_start
-        max_buckets = self.target_buckets + 1
-        m = self._metrics
-        if m is None:
-            for summary in self._summaries:
-                summary.insert(index, value)
-                summary.expire(window_start)
-                summary.trim_to(max_buckets)
-            return
-        start = perf_counter()
+        keep = self.target_buckets
         evicted = 0
-        for summary in self._summaries:
-            summary.insert(index, value)
-            evicted += summary.expire(window_start)
-            evicted += summary.trim_to(max_buckets)
-        if evicted:
-            m.on_evict(evicted)
-        m.on_insert(latency=perf_counter() - start)
+        for level in self._summaries:
+            level.insert(value)
+            evicted += _evict(level, window_start, keep)
+        if m is not None:
+            if evicted:
+                m.on_evict(evicted)
+            m.on_insert(latency=perf_counter() - start)
 
     def extend(self, values: Iterable) -> None:
         """Insert every value of an iterable, in order.
 
-        Lists and numeric ndarrays take a vectorized path: each chunk is
-        greedily ingested per level, then expiry and trim run once against
-        the chunk's final window start.  Greedy boundaries depend only on
-        the open bucket and both policies drop from the old end, so the
-        surviving suffix matches the per-item schedule exactly.  With
-        instrumentation on, a batch emits one ``on_insert`` event with the
-        item count and aggregated eviction counts.
+        Lists, tuples and numeric ndarrays are ingested a chunk at a time:
+        each level takes the whole chunk, then expiry and trim run once
+        against the chunk's final window start.  Greedy boundaries depend
+        only on the open bucket and both policies drop from the old end,
+        so the surviving suffix matches the per-item schedule exactly.  A
+        value outside the universe raises :class:`DomainError` after the
+        values before it are ingested.  With instrumentation on, a batch
+        emits one ``on_insert`` event with the item count and aggregated
+        eviction counts.
         """
         arr = as_batch_array(values)
         if arr is None:
@@ -204,40 +158,34 @@ class SlidingWindowMinIncrement:
         n = len(arr)
         if n == 0:
             return
-        bad = (arr < 0) | (arr >= self.universe)
-        if bad.any():
-            offender = int(np.argmax(bad))
-            if offender:
-                self.extend(values[:offender])
+        # A universe that float64 rounds down flags in-universe floats
+        # too; the scalar test decides which value is the offender.
+        for offender in np.flatnonzero((arr < 0) | (arr >= self.universe)).tolist():
             v = arr[offender].item()
-            raise DomainError(
-                f"value {v!r} outside universe [0, {self.universe})"
-            )
+            if not 0 <= v < self.universe:
+                if offender:
+                    self.extend(values[:offender])
+                raise DomainError(
+                    f"value {v!r} outside universe [0, {self.universe})"
+                )
         observe = self._metrics is not None
         start = perf_counter() if observe else 0.0
-        max_buckets = self.target_buckets + 1
+        keep = self.target_buckets
         evicted = 0
         for off in range(0, n, MAX_WINDOW):
             chunk = arr[off : off + MAX_WINDOW]
-            base = self._n
+            items = values[off : off + MAX_WINDOW]
             self._n += len(chunk)
             window_start = self.window_start
-            for summary in self._summaries:
-                summary.open, _ = greedy_chunk(
-                    chunk,
-                    base,
-                    summary.open,
-                    summary.closed.append,
-                    summary.target_error,
-                )
-                evicted += summary.expire(window_start)
-                evicted += summary.trim_to(max_buckets)
+            for level in self._summaries:
+                self._absorb(level, chunk, items)
+                evicted += _evict(level, window_start, keep)
         if observe:
             if evicted:
                 self._metrics.on_evict(evicted)
             self._metrics.on_insert(n, latency=perf_counter() - start)
 
-    # -- queries --------------------------------------------------------------------
+    # -- queries -------------------------------------------------------------
 
     @property
     def items_seen(self) -> int:
@@ -254,15 +202,15 @@ class SlidingWindowMinIncrement:
         """First stream index inside the current window."""
         return max(0, self._n - self.window)
 
-    def best_summary(self) -> _WindowedGreedySummary:
-        """Smallest-error summary that fully covers the current window."""
+    def best_summary(self):
+        """Smallest-error level that fully covers the current window."""
         if self._n == 0:
             raise EmptySummaryError("no values inserted yet")
         window_start = self.window_start
-        for summary in self._summaries:
-            oldest = summary.oldest_index()
-            if oldest is not None and oldest <= window_start:
-                return summary
+        for level in self._summaries:
+            oldest = level.closed[0] if level.closed else level.open
+            if oldest is not None and oldest.beg <= window_start:
+                return level
         # The coarsest level is never trimmed (it always needs one bucket),
         # so this is unreachable; guard for safety.
         raise EmptySummaryError(
@@ -272,23 +220,20 @@ class SlidingWindowMinIncrement:
     def histogram(self) -> Histogram:
         """Histogram of the last ``w`` values, clipped to the window.
 
-        The first bucket may have been opened before the window started; its
-        index range is clipped, while its min/max (a superset of the window
-        portion) still bound the error, preserving the ``(1 + eps)``
-        guarantee.
+        Only the first bucket can have opened before the window started;
+        its segment is cut at the window start, while its error (a bound
+        over a superset of the window portion) still counts, preserving
+        the ``(1 + eps)`` guarantee.
         """
-        summary = self.best_summary()
+        answer = self.best_summary().histogram()
         window_start = self.window_start
-        segments = []
-        worst = 0.0
-        for bucket in summary.buckets_snapshot():
-            beg = max(bucket.beg, window_start)
-            segments.append(
-                Segment(beg, bucket.end, bucket.representative, bucket.representative)
+        segments = list(answer.segments)
+        first = segments[0]
+        if first.beg < window_start:
+            segments[0] = Segment(
+                window_start, first.end, first.value_at(window_start), first.right
             )
-            if bucket.error > worst:
-                worst = bucket.error
-        return Histogram(segments, worst)
+        return Histogram(segments, answer.error)
 
     @property
     def error(self) -> float:
@@ -296,11 +241,38 @@ class SlidingWindowMinIncrement:
         return self.histogram().error
 
     def memory_bytes(self) -> int:
-        """Accounted memory: all per-level buckets plus ladder entries."""
-        total = 0
-        for summary in self._summaries:
-            total += self._model.buckets(len(summary.closed))
-            if summary.open is not None:
-                total += self._model.open_buckets(1)
-        total += self._model.ladder_entries(len(self._summaries))
+        """Accounted memory: every level's buckets plus ladder entries."""
+        model = self._model
+        total = model.ladder_entries(len(self._summaries))
+        for level in self._summaries:
+            total += level.memory_bytes(model)
         return total
+
+
+class SlidingWindowMinIncrement(_WindowLadder):
+    """(1 + eps, 1 + 1/B)-approximate histogram over a sliding window.
+
+    Parameters
+    ----------
+    buckets:
+        Target bucket count ``B``; answers use at most ``B + 1`` buckets.
+    epsilon:
+        Approximation parameter in (0, 1).
+    universe:
+        Size ``U`` of the integer value domain ``[0, U)``.
+    window:
+        Window length ``w >= 1``: queries describe the last ``w`` values.
+    memory_model:
+        Cost model used by :meth:`memory_bytes`.
+    metrics:
+        Opt-in instrumentation: ``True`` for a private registry, or a
+        shared :class:`~repro.observability.MetricsRegistry`; default off
+        (see ``docs/OBSERVABILITY.md``).  Expired and trimmed buckets are
+        counted as evictions.
+    """
+
+    def _level(self, target_error: float) -> GreedyInsertSummary:
+        return GreedyInsertSummary(target_error)
+
+    def _absorb(self, level, chunk, items) -> None:
+        level.extend(chunk)

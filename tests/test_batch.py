@@ -218,12 +218,13 @@ class TestObservabilityBatching:
         assert scalar.metrics.inserts.value == batched.metrics.inserts.value
         assert scalar.metrics.merges.value == batched.metrics.merges.value
 
-    def test_sliding_window_eviction_counts_match(self):
+    @pytest.mark.parametrize("name", ["sliding-window", "sliding-window-pwl"])
+    def test_sliding_window_eviction_counts_match(self, name):
         data = stream(14)
-        scalar = make("sliding-window", metrics=True)
+        scalar = make(name, metrics=True)
         for v in data.tolist():
             scalar.insert(v)
-        batched = make("sliding-window", metrics=True)
+        batched = make(name, metrics=True)
         batched.extend(data)
         assert (
             scalar.metrics.evictions.value == batched.metrics.evictions.value
@@ -239,11 +240,26 @@ class TestDomainErrors:
         # Scalar semantics: everything before the offender was ingested.
         assert summary.items_seen == 3
 
-    def test_sliding_window_batch_domain_error(self):
-        summary = make("sliding-window")
+    @pytest.mark.parametrize("name", ["sliding-window", "sliding-window-pwl"])
+    def test_sliding_window_batch_domain_error(self, name):
+        summary = make(name)
         with pytest.raises(DomainError):
             summary.extend(np.array([1, 2, -1, 4]))
         assert summary.items_seen == 2
+
+    @pytest.mark.parametrize("name", ["sliding-window", "sliding-window-pwl"])
+    def test_sliding_window_batch_domain_check_matches_insert(self, name):
+        # float64 rounds this universe down to 2**53, so 2.0**53, which
+        # the scalar test accepts, fails the array test.
+        universe = 2**53 + 1
+        scalar = make(name, universe=universe)
+        batched = make(name, universe=universe)
+        scalar.insert(2.0**53)
+        batched.extend([2.0**53])
+        assert state_of(batched) == state_of(scalar)
+        with pytest.raises(DomainError):
+            batched.extend([1.0, 2.0**53 + 2])
+        assert batched.items_seen == 2
 
 
 class TestApiNdarray:

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.rehist import RehistHistogram
 from repro.checkpoint import from_json, restore, state_dict, to_json
 from repro.core.min_increment import MinIncrementHistogram
 from repro.core.min_merge import MinMergeHistogram
 from repro.core.sliding_window import SlidingWindowMinIncrement
+from repro.core.sliding_window_pwl import SlidingWindowPwlMinIncrement
 from repro.exceptions import InvalidParameterError, UnsupportedCheckpointError
 
 UNIVERSE = 512
@@ -80,6 +82,23 @@ class TestValidation:
     def test_malformed_json(self):
         with pytest.raises(InvalidParameterError):
             from_json("{")
+
+    def test_rehist_fleet_is_unsupported_not_malformed(self):
+        # Versions before fleets rejected rehist wrote this well-formed state.
+        rehist = RehistHistogram(buckets=4, epsilon=0.2, universe=UNIVERSE)
+        rehist.extend([3, 9, 1, 7])
+        state = {
+            "kind": "fleet",
+            "algorithm": "rehist",
+            "config": {"buckets": 4, "epsilon": 0.2, "universe": UNIVERSE,
+                       "window": None},
+            "streams": [["a", state_dict(rehist)]],
+        }
+        with pytest.raises(UnsupportedCheckpointError) as excinfo:
+            restore(state)
+        message = str(excinfo.value)
+        assert "rehist" in message and "no longer restorable" in message
+        assert "malformed" not in message
 
 
 class TestMinMerge:
@@ -185,31 +204,38 @@ class TestMinIncrement:
         assert buffers["7"] > 0 and buffers["auto"] > 0
 
 
+WINDOWS = {
+    "sliding-window": SlidingWindowMinIncrement,
+    "sliding-window-pwl": SlidingWindowPwlMinIncrement,
+}
+
+
 class TestSlidingWindow:
+    @pytest.mark.parametrize("kind", sorted(WINDOWS))
     @settings(max_examples=30)
     @given(streams, streams, st.integers(4, 64))
     def test_restore_then_continue_matches_uninterrupted(
-        self, prefix, suffix, window
+        self, kind, prefix, suffix, window
     ):
         kwargs = {
             "buckets": 4, "epsilon": 0.2, "universe": UNIVERSE,
             "window": window,
         }
-        continuous = SlidingWindowMinIncrement(**kwargs)
+        continuous = WINDOWS[kind](**kwargs)
         continuous.extend(prefix)
         continuous.extend(suffix)
 
-        paused = SlidingWindowMinIncrement(**kwargs)
+        paused = WINDOWS[kind](**kwargs)
         paused.extend(prefix)
         resumed = restore(state_dict(paused))
+        assert state_dict(paused)["kind"] == kind
         resumed.extend(suffix)
 
         assert _snapshot(resumed) == _snapshot(continuous)
 
-    def test_window_position_preserved(self):
-        summary = SlidingWindowMinIncrement(
-            buckets=4, epsilon=0.2, universe=UNIVERSE, window=10
-        )
+    @pytest.mark.parametrize("kind", sorted(WINDOWS))
+    def test_window_position_preserved(self, kind):
+        summary = WINDOWS[kind](buckets=4, epsilon=0.2, universe=UNIVERSE, window=10)
         summary.extend(range(50))
         resumed = restore(state_dict(summary))
         assert resumed.window_start == summary.window_start

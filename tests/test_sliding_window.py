@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.sliding_window import (
-    SlidingWindowMinIncrement,
-    _WindowedGreedySummary,
-)
+from repro.core.greedy_insert import GreedyInsertSummary
+from repro.core.sliding_window import SlidingWindowMinIncrement, _evict
 from repro.exceptions import (
     DomainError,
     EmptySummaryError,
@@ -119,10 +117,11 @@ class TestLemma4:
     )
     def test_greedy_window_uses_at_most_opt_plus_one(self, values, error, window):
         """Lemma 4: windowed GREEDY-INSERT <= optimal(window, e) + 1 buckets."""
-        summary = _WindowedGreedySummary(error)
+        summary = GreedyInsertSummary(error)
         for i, v in enumerate(values):
-            summary.insert(i, v)
-            summary.expire(max(0, i + 1 - window))
+            summary.insert(v)
+            # Expiry alone: a ``keep`` this large never trims.
+            _evict(summary, max(0, i + 1 - window), keep=len(values))
         tail = values[-window:]
         optimal = min_buckets_for_error(tail, error)
         assert summary.bucket_count <= optimal + 1
